@@ -1003,10 +1003,6 @@ module Fault = Nanodec_fault.Fault
 
 let serve_gate_threshold = 5.
 
-(* Batching on vs. off over the same concurrent cold-MC request load:
-   fusing must buy at least this request-throughput factor. *)
-let serve_batch_gate = 3.
-
 let serve_quantile ~q (h : Telemetry.hist_stats) =
   let target = q *. float_of_int h.Telemetry.hs_count in
   let rec scan acc = function
@@ -1244,50 +1240,56 @@ let run_serve_json ~quick =
           Option.value ~default:0
             (List.assoc_opt "serve.shed" (Telemetry.counters osink)) ))
   in
-  (* Phase 4: batch fusion.  Many concurrent clients march in rounds
+  (* Phase 4: single-flight.  Sixteen clients march in lockstep rounds
      over the fig7 candidates: within a round, half the clients ask one
      design and half another, every client in a group asking the {e
-     same} (design, seed, samples) estimate — the dashboard-refresh
-     load the batcher was built for.  Both daemons run with the result
-     cache {e disabled}, which isolates the batcher's contribution
-     from the cache's (cache-on duplicate absorption is what the
-     warm-cache gates above already measure): unbatched, every
-     duplicate pays its own full Monte-Carlo build; fused, one
-     mixed-design [Montecarlo.run_many] mega-run computes each
-     distinct key once and the overlay answers every member of the
-     batch.  Same request stream, same sample counts both ways — only
-     [batch_window_s] differs — and every response must be
-     byte-identical. *)
-  let batch_clients = 16 in
-  let batch_rounds = if quick then 4 else 8 in
-  let batch_samples = 1_024 in
-  let batch_requests_n = batch_clients * batch_rounds in
-  (* Generous window: the daemon's eager flush — buffered requests are
-     dispatched the moment they are the only outstanding work — fires
-     long before the window expires, right after the burst's leading
-     request completes and warms its key.  A short window would expire
-     mid-build and re-fetch keys still in flight. *)
-  let batch_window_ms = 100. in
-  let batch_candidates = Array.of_list Figures.fig7_candidates in
-  let batch_line ~client ~round =
-    let group = if client < batch_clients / 2 then 0 else 1 in
-    let ct, m =
-      batch_candidates.(((2 * round) + group) mod Array.length batch_candidates)
-    in
+     same} (design, seed, samples) estimate — a refresh storm of
+     duplicate cold keys hitting one daemon with the cache on.  The
+     artifact cache must build each distinct estimate exactly once
+     (counted from the daemon's [kernel.samples]), and every response
+     must match a serial [handle_line] replay of the same lines.  The
+     designs' closed-form reports are warmed first, so a response's
+     [cached] flag is its estimate's alone: per key exactly one
+     response reads [false], the one whose call ran the build, and
+     which client that is varies — so each round is compared as a
+     multiset. *)
+  let flight_clients = 16 in
+  let flight_rounds = if quick then 4 else 8 in
+  let flight_samples = 1_024 in
+  let flight_requests_n = flight_clients * flight_rounds in
+  let flight_candidates = Array.of_list Figures.fig7_candidates in
+  let flight_design ~client ~round =
+    let group = if client < flight_clients / 2 then 0 else 1 in
+    flight_candidates.(((2 * round) + group) mod Array.length flight_candidates)
+  in
+  let flight_line ~client ~round =
+    let ct, m = flight_design ~client ~round in
     Printf.sprintf
       {|{"verb":"evaluate","params":{"code":"%s","length":%d},"exec":{"seed":%d,"mc_samples":%d}}|}
-      (Codebook.name ct) m (41_000 + round) batch_samples
+      (Codebook.name ct) m (41_000 + round) flight_samples
   in
-  let batch_distinct_keys = 2 * batch_rounds in
-  let run_batch_pass ~window_ms =
-    let bsink = Telemetry.create () in
-    let dt, responses =
-      Run_ctx.with_ctx ~domains:4 ~telemetry:bsink @@ fun ctx ->
-      let state = Serve.Protocol.make_state ~cache_enabled:false ~base:ctx () in
+  let flight_warmup =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun round ->
+           List.map
+             (fun client ->
+               let ct, m = flight_design ~client ~round in
+               Printf.sprintf
+                 {|{"verb":"evaluate","params":{"code":"%s","length":%d}}|}
+                 (Codebook.name ct) m)
+             [ 0; flight_clients - 1 ])
+         (List.init flight_rounds Fun.id))
+  in
+  let flight_distinct_keys = 2 * flight_rounds in
+  let flight_builds, flight_identical =
+    let fsink = Telemetry.create () in
+    let responses =
+      Run_ctx.with_ctx ~domains:4 ~telemetry:fsink @@ fun ctx ->
+      let state = Serve.Protocol.make_state ~base:ctx () in
       let server =
-        Serve.Server.create ~max_inflight:batch_clients
-          ~batch_window_s:(window_ms /. 1000.)
-          ~max_batch:64 ~state (`Unix socket_path)
+        Serve.Server.create ~max_inflight:flight_clients ~state
+          (`Unix socket_path)
       in
       let server_thread = Thread.create Serve.Server.serve server in
       Fun.protect
@@ -1295,19 +1297,22 @@ let run_serve_json ~quick =
           Serve.Server.close server;
           Thread.join server_thread)
         (fun () ->
-          let responses = Array.make batch_requests_n "" in
+          (Serve.Client.with_connection (`Unix socket_path) @@ fun conn ->
+           List.iter
+             (fun line -> ignore (Serve.Client.request conn line))
+             flight_warmup);
+          let responses = Array.make_matrix flight_rounds flight_clients "" in
           (* A between-rounds barrier keeps the clients in lockstep, so
              every round hits the daemon as one simultaneous burst of
-             duplicate keys — the refresh-storm shape this phase is
-             about.  Without it the rounds smear and both daemons just
-             measure the cache. *)
+             duplicate keys.  Without it the rounds smear and late
+             duplicates arrive after the build, as plain hits. *)
           let bar_mu = Mutex.create () in
           let bar_cv = Condition.create () in
           let bar_arrived = ref 0 and bar_round = ref 0 in
           let barrier () =
             Mutex.lock bar_mu;
             incr bar_arrived;
-            if !bar_arrived = batch_clients then begin
+            if !bar_arrived = flight_clients then begin
               bar_arrived := 0;
               incr bar_round;
               Condition.broadcast bar_cv
@@ -1320,62 +1325,42 @@ let run_serve_json ~quick =
             end;
             Mutex.unlock bar_mu
           in
-          let t0 = Unix.gettimeofday () in
           let clients =
-            List.init batch_clients (fun c ->
+            List.init flight_clients (fun c ->
                 Thread.create
                   (fun () ->
                     Serve.Client.with_connection (`Unix socket_path)
                     @@ fun conn ->
-                    for r = 0 to batch_rounds - 1 do
+                    for r = 0 to flight_rounds - 1 do
                       barrier ();
-                      responses.((c * batch_rounds) + r) <-
-                        Serve.Client.request conn
-                          (batch_line ~client:c ~round:r)
+                      responses.(r).(c) <-
+                        Serve.Client.request conn (flight_line ~client:c ~round:r)
                     done)
                   ())
           in
           List.iter Thread.join clients;
-          let dt = Unix.gettimeofday () -. t0 in
           (Serve.Client.with_connection (`Unix socket_path) @@ fun conn ->
            ignore (Serve.Client.request conn {|{"verb":"shutdown"}|}));
           Thread.join server_thread;
-          (dt, responses))
+          responses)
     in
-    (dt, responses, bsink)
-  in
-  let batch_off_s, batch_off_responses, _ = run_batch_pass ~window_ms:0. in
-  let batch_on_s, batch_on_responses, bsink_batch =
-    run_batch_pass ~window_ms:batch_window_ms
-  in
-  let batch_identical =
-    try
-      Array.iteri
-        (fun i r ->
-          let c = i / batch_rounds and round = i mod batch_rounds in
-          ignore (serve_result_of (batch_line ~client:c ~round) r);
-          if not (String.equal r batch_off_responses.(i)) then raise Exit)
-        batch_on_responses;
-      true
-    with Exit -> false
-  in
-  let batch_counter name =
-    Option.value ~default:0
-      (List.assoc_opt name (Telemetry.counters bsink_batch))
-  in
-  let batch_fused = batch_counter "serve.batch.fused" in
-  let batch_flush_window = batch_counter "serve.batch.flush.window" in
-  let batch_flush_full = batch_counter "serve.batch.flush.full" in
-  let batch_flush_drain = batch_counter "serve.batch.flush.drain" in
-  let batch_count, batch_size_p50, batch_size_max =
-    match
-      List.find_opt
-        (fun h -> h.Telemetry.hs_name = "serve.batch.size")
-        (Telemetry.histograms bsink_batch)
-    with
-    | Some h ->
-      (h.Telemetry.hs_count, serve_quantile ~q:0.5 h, h.Telemetry.hs_max_s)
-    | None -> (0, 0., 0.)
+    let serial =
+      Run_ctx.with_ctx ~domains:1 @@ fun ctx ->
+      let state = Serve.Protocol.make_state ~base:ctx () in
+      List.iter
+        (fun line -> ignore (Serve.Protocol.handle_line state line))
+        flight_warmup;
+      Array.init flight_rounds (fun r ->
+          Array.init flight_clients (fun c ->
+              Serve.Protocol.handle_line state (flight_line ~client:c ~round:r)))
+    in
+    let sorted a = List.sort compare (Array.to_list a) in
+    let samples =
+      Option.value ~default:0
+        (List.assoc_opt "kernel.samples" (Telemetry.counters fsink))
+    in
+    ( (if samples mod flight_samples = 0 then samples / flight_samples else -1),
+      Array.for_all2 (fun d s -> sorted d = sorted s) responses serial )
   in
   let cold_total = List.fold_left (fun a (_, c, _, _, _) -> a +. c) 0. rows in
   let warm_total = List.fold_left (fun a (_, _, w, _, _) -> a +. w) 0. rows in
@@ -1406,21 +1391,11 @@ let run_serve_json ~quick =
   Printf.printf
     "serve overload: %d pipelined at capacity %d -> %d shed (telemetry %d)\n"
     overload_pipelined overload_capacity overload_shed overload_tele;
-  let batch_speedup = batch_off_s /. batch_on_s in
-  let batch_rps_on = float_of_int batch_requests_n /. batch_on_s in
-  let batch_rps_off = float_of_int batch_requests_n /. batch_off_s in
   Printf.printf
-    "serve batching: %d clients, %d requests over %d distinct estimates (%d \
-     samples each): off %.4fs (%.0f req/s) -> on %.4fs (%.0f req/s), %.2fx, \
-     identical: %b\n"
-    batch_clients batch_requests_n batch_distinct_keys batch_samples
-    batch_off_s batch_rps_off batch_on_s batch_rps_on batch_speedup
-    batch_identical;
-  Printf.printf
-    "serve batching: %d batches (p50 size <= %.0f, max %.0f), %d fused \
-     requests, flushes window/full/drain %d/%d/%d\n"
-    batch_count batch_size_p50 batch_size_max batch_fused batch_flush_window
-    batch_flush_full batch_flush_drain;
+    "serve single-flight: %d clients, %d requests over %d distinct estimates \
+     (%d samples each): %d estimate builds, serial-replay identical: %b\n"
+    flight_clients flight_requests_n flight_distinct_keys flight_samples
+    flight_builds flight_identical;
   (match latency with
   | Some h ->
     Printf.printf
@@ -1468,17 +1443,9 @@ let run_serve_json ~quick =
       h.Telemetry.hs_max_s
   | None -> out "  \"latency\": null,\n");
   out
-    "  \"batching\": {\"clients\": %d, \"requests\": %d, \"distinct_keys\": \
-     %d, \"mc_samples\": %d, \"window_ms\": %.1f, \"gate_threshold\": %.1f, \
-     \"seconds\": {\"off\": %.6f, \"on\": %.6f}, \"rps\": {\"off\": %.1f, \
-     \"on\": %.1f}, \"speedup\": %.3f, \"identical\": %b, \"batches\": %d, \
-     \"size_p50\": %.1f, \"size_max\": %.1f, \"fused_requests\": %d, \
-     \"flushes\": {\"window\": %d, \"full\": %d, \"drain\": %d}},\n"
-    batch_clients batch_requests_n batch_distinct_keys batch_samples
-    batch_window_ms serve_batch_gate batch_off_s batch_on_s batch_rps_off
-    batch_rps_on batch_speedup batch_identical batch_count batch_size_p50
-    batch_size_max batch_fused batch_flush_window batch_flush_full
-    batch_flush_drain;
+    "  \"single_flight\": {\"requests\": %d, \"distinct_keys\": %d, \
+     \"builds\": %d},\n"
+    flight_requests_n flight_distinct_keys flight_builds;
   out "  \"designs\": [\n";
   List.iteri
     (fun i (name, cold_s, warm_s, ok, _) ->
@@ -1524,19 +1491,15 @@ let run_serve_json ~quick =
       (overload_pipelined - overload_capacity);
     exit 1
   end;
-  if not batch_identical then begin
-    prerr_endline
-      "FAIL: a batched response diverged from its unbatched bytes";
-    exit 1
-  end;
-  if batch_fused = 0 then begin
-    prerr_endline "FAIL: the batching daemon never fused a batch";
-    exit 1
-  end;
-  if batch_speedup < serve_batch_gate then begin
+  if flight_builds <> flight_distinct_keys then begin
     Printf.eprintf
-      "FAIL: batch-fusion throughput %.2fx below the %.1fx gate\n"
-      batch_speedup serve_batch_gate;
+      "FAIL: %d estimate builds for %d distinct keys (single-flight broken)\n"
+      flight_builds flight_distinct_keys;
+    exit 1
+  end;
+  if not flight_identical then begin
+    prerr_endline
+      "FAIL: a single-flight response diverged from the serial replay bytes";
     exit 1
   end
 

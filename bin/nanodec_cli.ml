@@ -745,7 +745,7 @@ let port_arg =
 
 let serve_cmd =
   let run verbose socket port cache_capacity no_cache max_inflight max_queue
-      batch_window_ms max_batch idle_timeout cache_file snapshot_interval
+      idle_timeout cache_file snapshot_interval
       flags =
     handle @@ fun () ->
     setup_logging verbose;
@@ -754,11 +754,6 @@ let serve_cmd =
       ~hint:"use --no-cache to disable caching instead" cache_capacity;
     E.check_int_range ~what:"--max-inflight" ~min:1 ~max:1024 max_inflight;
     E.check_int_range ~what:"--max-queue" ~min:1 ~max:1_000_000 max_queue;
-    if not (batch_window_ms >= 0. && batch_window_ms < infinity) then
-      E.invalid_inputf ~hint:"0 turns batch fusion off"
-        "--batch-window-ms must be a finite time >= 0 (got %g)"
-        batch_window_ms;
-    E.check_int_range ~what:"--max-batch" ~min:2 ~max:4096 max_batch;
     Option.iter (E.check_timeout_s ~what:"--idle-timeout") idle_timeout;
     E.check_timeout_s ~what:"--snapshot-interval" snapshot_interval;
     Ctx_flags.with_ctx flags @@ fun ctx ->
@@ -767,9 +762,7 @@ let serve_cmd =
         ~cache_capacity ~base:ctx ()
     in
     let server =
-      Serve.Server.create ~state ~max_inflight ~max_queue
-        ~batch_window_s:(batch_window_ms /. 1000.) ~max_batch
-        ?idle_timeout_s:idle_timeout ?cache_file
+      Serve.Server.create ~state ~max_inflight ~max_queue ?idle_timeout_s:idle_timeout ?cache_file
         ~snapshot_interval_s:snapshot_interval address
     in
     (match Serve.Server.address server with
@@ -801,20 +794,6 @@ let serve_cmd =
          & opt int Serve.Server.default_max_queue
          & info [ "max-queue" ] ~docv:"N" ~doc)
   in
-  let batch_window_ms_arg =
-    let doc =
-      "Coalesce concurrent cold Monte-Carlo requests for up to MS \
-       milliseconds and execute each batch as one fused kernel \
-       mega-run (responses stay byte-identical to unbatched \
-       execution; serial clients never wait — a lone request flushes \
-       immediately).  0 disables batch fusion."
-    in
-    Arg.(value & opt float 2.0 & info [ "batch-window-ms" ] ~docv:"MS" ~doc)
-  in
-  let max_batch_arg =
-    let doc = "Most requests fused into one batch (flushes when full)." in
-    Arg.(value & opt int 32 & info [ "max-batch" ] ~docv:"N" ~doc)
-  in
   let idle_timeout_arg =
     let doc =
       "Close connections idle (or drip-feeding one request line) for \
@@ -844,9 +823,7 @@ let serve_cmd =
   in
   let term =
     Term.(const run $ verbose_arg $ socket_arg $ port_arg $ cache_capacity_arg
-          $ no_cache_arg $ max_inflight_arg $ max_queue_arg
-          $ batch_window_ms_arg $ max_batch_arg
-          $ idle_timeout_arg $ cache_file_arg $ snapshot_interval_arg
+          $ no_cache_arg $ max_inflight_arg $ max_queue_arg $ idle_timeout_arg $ cache_file_arg $ snapshot_interval_arg
           $ Ctx_flags.term)
   in
   Cmd.v

@@ -24,7 +24,7 @@ let () =
 
 let known_sites =
   [ "pool.chunk"; "mc.sample_batch"; "cave.window"; "telemetry.flush";
-    "serve.dispatch"; "serve.snapshot"; "serve.batch" ]
+    "serve.dispatch"; "serve.snapshot" ]
 
 let default_seed = 2009
 let env_var = "NANODEC_FAULT_PLAN"

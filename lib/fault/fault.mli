@@ -13,10 +13,7 @@
     {- [serve.dispatch] — before a daemon worker executes a request
        (keyed by the request's arrival sequence number);}
     {- [serve.snapshot] — before the daemon writes an artifact-cache
-       snapshot (keyed by the snapshot ordinal);}
-    {- [serve.batch] — before the daemon executes a fused request
-       batch (keyed by the batch ordinal); a crash falls the batch
-       back to per-request execution, bytes unchanged.}}
+       snapshot (keyed by the snapshot ordinal).}}
 
     A {e plan} is a seed plus a list of rules, written in a compact
     spec accepted by {!parse} and by the [NANODEC_FAULT_PLAN]

@@ -431,92 +431,6 @@ let run ?ctx s rng target =
     done);
   estimate_of_acc acc
 
-(* --- fused multi-request estimation ---
-
-   [run_many] is the serve batch-fusion entry point: K independent
-   (spec, rng, target) requests packed into ONE pool fan-out.  Each
-   item keeps exactly the per-item state the solo [run] would build —
-   its own [align_samples] total, its own [Rng.split_n] stream family,
-   its own evaluator, its own value slots, its own in-order merge — and
-   the items are laid out contiguously on a global sample axis only for
-   scheduling.  A fused chunk covers a global index range and maps it
-   back onto per-item local ranges, so every slot write is the same
-   (stream, evaluator, local index) triple the solo run performs:
-   item [i]'s estimate is bit-identical to [run ?ctx spec_i rng_i
-   target_i].  Chunk bodies restart cleanly (streams re-aimed per
-   sample), so pool retry/degradation recovery holds for the fused job
-   exactly as for a solo one. *)
-
-let run_many ?ctx items =
-  let k = Array.length items in
-  if k = 0 then [||]
-  else begin
-    let pool = Run_ctx.pool_of ctx in
-    let len = Array.make k 0 in
-    let streams_of = Array.make k [||] in
-    let eval_of = Array.make k (fun ~index:_ _ -> 0.) in
-    let values_of = Array.make k [||] in
-    Array.iteri
-      (fun i (s, rng, tgt) ->
-        validate_spec "Montecarlo.run_many" s;
-        let n =
-          match s.stopping with
-          | Fixed_samples n -> align_samples s.strategy n
-          | Until_rel_error _ ->
-            invalid_arg
-              "Montecarlo.run_many: adaptive (until_rel_error) items cannot \
-               be fused"
-        in
-        len.(i) <- n;
-        streams_of.(i) <- Rng.split_n rng n;
-        eval_of.(i) <- evaluator s tgt;
-        values_of.(i) <- Array.make n 0.)
-      items;
-    let offsets = Array.make k 0 in
-    let total = ref 0 in
-    for i = 0 to k - 1 do
-      offsets.(i) <- !total;
-      total := !total + len.(i)
-    done;
-    let total = !total in
-    let plan = resolve_plan ?ctx ~pool ~samples:total () in
-    let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
-    let body i =
-      let g = Workspace.get scratch_rng in
-      let lo = chunk_lo ~samples:total ~chunks i in
-      let hi = chunk_lo ~samples:total ~chunks (i + 1) in
-      if lo < hi then begin
-        let j = ref 0 in
-        while offsets.(!j) + len.(!j) <= lo do
-          incr j
-        done;
-        let gs = ref lo in
-        while !gs < hi do
-          let base = offsets.(!j) in
-          let streams = streams_of.(!j)
-          and eval = eval_of.(!j)
-          and values = values_of.(!j) in
-          let stop = min hi (base + len.(!j)) in
-          for s = !gs - base to stop - base - 1 do
-            (* Same re-aim discipline as [run]: a retried chunk restarts
-               every sample's stream from the beginning. *)
-            Rng.copy_into streams.(s) ~into:g;
-            values.(s) <- eval ~index:s g
-          done;
-          gs := stop;
-          incr j
-        done
-      end
-    in
-    run_chunks ?ctx ~pool ~chunks ~batch ~samples:total body;
-    Array.mapi
-      (fun i (s, _, _) ->
-        let acc = make_acc s.strategy in
-        merge_round acc ~base:0 values_of.(i);
-        estimate_of_acc acc)
-      items
-  end
-
 (* --- legacy API: one definition site over [run] --- *)
 
 let estimate rng ~samples f =

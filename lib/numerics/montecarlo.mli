@@ -2,9 +2,13 @@
 
     One engine, one entry point: {!run} executes a {!spec} — a sampling
     {!strategy} crossed with a {!stopping} rule — against a {!target}.
-    The historical {!estimate}/{!estimate_par} survive as thin wrappers
-    over [run] with the plain/fixed spec, proven equivalent by the
-    proptest oracle suite.
+    The other exported estimators serve existing call sites:
+    {ul
+    {- {!estimate} and {!estimate_par} — thin wrappers over [run] with
+       the plain/fixed spec, proven equivalent by the proptest oracle
+       suite;}
+    {- {!estimate_proportion} and {!estimate_proportion_par} — the
+       Bernoulli specialisation with the p(1-p)/n standard error.}}
 
     {2 Determinism contract}
 
@@ -153,24 +157,6 @@ val run :
     Raises [Invalid_argument] on a malformed spec (fewer than 2
     samples, strata < 2, non-positive importance shift, rel_error
     outside (0, 0.5], [max_samples < min_samples]). *)
-
-val run_many :
-  ?ctx:Nanodec_parallel.Run_ctx.t ->
-  (spec * Rng.t * target) array ->
-  estimate array
-(** [run_many ?ctx items] — the serve batch-fusion entry point: K
-    independent fixed-stopping estimates executed as {e one} pool
-    fan-out.  Requests are laid out contiguously on a global sample
-    axis for scheduling only; each item keeps its own
-    {!Rng.split_n} stream family, evaluator, result slots and in-order
-    merge, so [run_many [|(s0,r0,t0); ...|]].(i) is bit-for-bit
-    [run ?ctx s_i r_i t_i] — fusion moves wall-clock time, never a
-    result bit.  Chunk bodies restart cleanly, so the pool's
-    retry/degradation recovery applies to fused jobs unchanged.
-
-    Raises [Invalid_argument] if any item is malformed or uses
-    {!Until_rel_error} stopping (adaptive rounds cannot share a
-    fan-out). *)
 
 (** {1 Sequential estimators} *)
 

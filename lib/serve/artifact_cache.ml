@@ -6,10 +6,18 @@ type 'v node = {
   mutable next : 'v node option;  (* towards least recently used *)
 }
 
+(* A build in progress: callers that miss the same key while it runs
+   wait on [landed] (under the cache mutex) for its [outcome]. *)
+type 'v flight = {
+  mutable outcome : ('v * float, exn * Printexc.raw_backtrace) result option;
+  landed : Condition.t;
+}
+
 type 'v t = {
   enabled : bool;
   capacity : int;
   table : (string, 'v node) Hashtbl.t;
+  flights : (string, 'v flight) Hashtbl.t;
   mutable mru : 'v node option;
   mutable lru : 'v node option;
   mutable entries : int;
@@ -38,6 +46,7 @@ let create ?(enabled = true) ~capacity () =
     enabled;
     capacity;
     table = Hashtbl.create (min capacity 64);
+    flights = Hashtbl.create 8;
     mru = None;
     lru = None;
     entries = 0;
@@ -84,8 +93,8 @@ let evict_lru t =
 let insert t ~key ~cost_s value =
   (match Hashtbl.find_opt t.table key with
   | Some old ->
-    (* A racing builder stored first; replace so the caller's value is
-       the one future hits see (both are equal — builders are pure). *)
+    (* Only {!restore} can meet a present key (builds of one key are
+       single-flighted); the later entry wins. *)
     unlink t old;
     Hashtbl.remove t.table key;
     t.entries <- t.entries - 1
@@ -98,47 +107,78 @@ let insert t ~key ~cost_s value =
     evict_lru t
   done
 
-let lookup t key =
-  match Hashtbl.find_opt t.table key with
-  | Some node ->
-    t.hits <- t.hits + 1;
-    t.saved_s <- t.saved_s +. node.cost_s;
-    unlink t node;
-    push_front t node;
-    Some node.value
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+let record_hit (t : _ t) cost_s =
+  t.hits <- t.hits + 1;
+  t.saved_s <- t.saved_s +. cost_s
+
+let timed build =
+  let t0 = Unix.gettimeofday () in
+  let v = build () in
+  (v, Unix.gettimeofday () -. t0)
+
+let unwrap = function
+  | Ok r -> r
+  | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
 
 (* --- public API --- *)
 
+(* Single-flight: the first caller to miss [key] registers a flight and
+   builds outside the mutex; callers that miss while it runs wait on
+   the flight instead of building again.  Builds of other keys —
+   including the nested ones a build requests — proceed meanwhile. *)
 let find_or_build t ~key build =
-  let cached =
-    if not t.enabled then begin
-      locked t (fun () -> t.misses <- t.misses + 1);
-      None
-    end
-    else locked t (fun () -> lookup t key)
-  in
-  match cached with
-  | Some v -> (v, true)
-  | None ->
-    let t0 = Unix.gettimeofday () in
-    let v = build () in
-    let cost_s = Unix.gettimeofday () -. t0 in
-    if t.enabled then
-      locked t (fun () ->
-          t.build_s <- t.build_s +. cost_s;
-          insert t ~key ~cost_s v)
-    else locked t (fun () -> t.build_s <- t.build_s +. cost_s);
-    (v, false)
-
-let find_opt t key =
   if not t.enabled then begin
     locked t (fun () -> t.misses <- t.misses + 1);
-    None
+    let v, cost_s = timed build in
+    locked t (fun () -> t.build_s <- t.build_s +. cost_s);
+    (v, false)
   end
-  else locked t (fun () -> lookup t key)
+  else
+    let step =
+      locked t (fun () ->
+          match Hashtbl.find_opt t.table key with
+          | Some node ->
+            record_hit t node.cost_s;
+            unlink t node;
+            push_front t node;
+            `Done (Ok (node.value, true))
+          | None -> (
+            match Hashtbl.find_opt t.flights key with
+            | Some flight -> (
+              while Option.is_none flight.outcome do
+                Condition.wait flight.landed t.mutex
+              done;
+              match Option.get flight.outcome with
+              | Ok (v, cost_s) ->
+                record_hit t cost_s;
+                `Done (Ok (v, true))
+              | Error e ->
+                t.misses <- t.misses + 1;
+                `Done (Error e))
+            | None ->
+              let flight = { outcome = None; landed = Condition.create () } in
+              Hashtbl.replace t.flights key flight;
+              t.misses <- t.misses + 1;
+              `Build flight))
+    in
+    match step with
+    | `Done r -> unwrap r
+    | `Build flight ->
+      let outcome =
+        match timed build with
+        | v, cost_s -> Ok (v, cost_s)
+        | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
+      in
+      locked t (fun () ->
+          Hashtbl.remove t.flights key;
+          (match outcome with
+          | Ok (v, cost_s) ->
+            t.build_s <- t.build_s +. cost_s;
+            insert t ~key ~cost_s v
+          | Error _ -> ());
+          flight.outcome <- Some outcome;
+          Condition.broadcast flight.landed);
+      unwrap (Result.map (fun (v, _) -> (v, false)) outcome)
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
 let length t = locked t (fun () -> t.entries)

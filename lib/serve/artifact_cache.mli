@@ -48,14 +48,23 @@ val find_or_build : 'v t -> key:string -> (unit -> 'v) -> 'v * bool
     (marking it most recently used) or runs [build], stores the result
     with its measured build time, evicts the least recently used entry
     if over capacity, and returns it.  The boolean is [true] on a hit.
-    [build]'s exceptions propagate; nothing is stored on failure.  The
-    mutex is {e not} held while [build] runs — builders may take
-    seconds; two threads racing the same cold key both build (last
-    store wins), which is benign because builders are pure. *)
 
-val find_opt : 'v t -> string -> 'v option
-(** Lookup without building; counts as a hit/miss and refreshes
-    recency like {!find_or_build}. *)
+    Single-flight: the mutex is {e not} held while [build] runs, and
+    callers that miss [key] while its build is in flight wait for that
+    build instead of starting their own.  Each waiter receives the
+    built value and counts as a hit, exactly as it would had it arrived
+    after the build — so concurrent duplicates cost one build.  If
+    [build] raises, the building caller and every waiter get the same
+    exception (waiters count as misses), nothing is stored, and the
+    next call builds afresh: a failure never poisons the key.  A
+    disabled cache has no flights; it builds on every call.
+
+    Waiting cannot deadlock as long as builds only request keys
+    strictly below their own in a fixed order.  The daemon's builds
+    nest downward — estimate → kernel → analysis → ν, and report and
+    sweep build their design layers without the cache — so no build
+    ever waits, directly or transitively, on itself.  A build must
+    never request its own key. *)
 
 val mem : 'v t -> string -> bool
 (** Pure membership probe: no counter moves, no recency refresh. *)

@@ -102,10 +102,6 @@ let estimate_spec_key ~seed ~spec config =
     (Montecarlo.spec_key spec)
     (Cave.config_key config)
 
-(* One cache round for a precomputed (or about-to-be-computed) estimate:
-   [find_or_build] keeps the hit/miss accounting — and therefore the
-   [cached] flags of batched responses — exactly what serial unbatched
-   execution would produce. *)
 let estimate_with cache ~key ~build =
   match
     Artifact_cache.find_or_build cache ~key (fun () -> Estimate (build ()))

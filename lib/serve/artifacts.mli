@@ -57,26 +57,6 @@ val kernel : t -> Cave.config -> Kernel.t * bool
 
 val report : t -> Design.spec -> Design.report * bool
 
-val estimate_key : seed:int -> samples:int -> Cave.config -> string
-(** The canonical cache key of a plain fixed-count estimate — exposed
-    so the batch-fusion layer can group and overlay requests by the
-    exact identity the cache uses. *)
-
-val estimate_spec_key :
-  seed:int -> spec:Montecarlo.spec -> Cave.config -> string
-(** The canonical cache key of a spec'd estimate (injective
-    {!Montecarlo.spec_key} component, disjoint from the plain keys). *)
-
-val estimate_with :
-  t ->
-  key:string ->
-  build:(unit -> Montecarlo.estimate) ->
-  Montecarlo.estimate * bool
-(** One cache round at [key]: return the cached estimate, or install
-    [build ()].  The batch fuser passes the fused-run result as
-    [build], so hit/miss accounting — and the [cached] flag of every
-    response — stays identical to serial unbatched execution. *)
-
 val estimate :
   t ->
   ctx:Nanodec_parallel.Run_ctx.t ->
@@ -87,7 +67,9 @@ val estimate :
 (** [Cave.mc_yield_window_par] through the {!analysis} and {!kernel}
     caches; the estimate itself is cached keyed by
     (config, seed, samples) — legitimate because the chunked estimator
-    is bit-for-bit invariant in pool, chunking and domain count. *)
+    is bit-for-bit invariant in pool, chunking and domain count.
+    Concurrent requests for one cold estimate share a single build
+    ({!Artifact_cache.find_or_build} is single-flight). *)
 
 val estimate_spec :
   t ->

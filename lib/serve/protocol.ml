@@ -10,19 +10,6 @@ module Fault = Nanodec_fault.Fault
    installed by the concurrent server so the [stats] and [shutdown]
    verbs can report scheduling state.  [None] (direct [handle_line]
    callers: tests, a hypothetical inline runner) reports zeros. *)
-type batch_view = {
-  window_s : float;
-  max_batch : int;
-  buffered : int;
-  batches : int;
-  fused_requests : int;
-  flush_window : int;
-  flush_full : int;
-  flush_drain : int;
-  size_p50 : int;
-  size_max : int;
-}
-
 type scheduler = {
   max_inflight : int;
   max_queue : int;
@@ -30,7 +17,6 @@ type scheduler = {
   queued : int;
   shed : int;
   snapshot_age_s : float option;
-  batch : batch_view option;
 }
 
 type state = {
@@ -72,7 +58,6 @@ let scheduler_view state =
       queued = 0;
       shed = 0;
       snapshot_age_s = None;
-      batch = None;
     }
 
 let known_verbs =
@@ -265,83 +250,6 @@ let spec_of_params params =
   let base = { Design.default_spec with Design.raw_bits } in
   Design.spec ~base ~radix ~n_wires ~code_type ~code_length ()
 
-(* --- batch fusion classification ---
-
-   A request is fusable when its MC work is a pure fixed-count estimate
-   the batch layer can precompute: an MC-bearing verb ([yield], or
-   [evaluate] with [mc_samples]), no cache bypass (fault plan,
-   no_degrade, deadline — those must execute their own failure
-   semantics), and no adaptive stopping anywhere (request or base
-   context — adaptive rounds cannot share a fan-out).  The plan records
-   the request's estimate identity exactly as [run_estimate] will
-   derive it, so the fused result lands on the very cache key the
-   request's own execution looks up.  Total: any parse or validation
-   failure classifies as not-fusable and the request takes the single
-   path, which reproduces the error response bytes unchanged. *)
-
-type fuse_plan = {
-  fuse_key : string;  (* the estimate's artifact-cache key *)
-  fuse_seed : int;
-  fuse_samples : int;
-  fuse_spec : Montecarlo.spec;  (* always fixed stopping *)
-  fuse_config : Cave.config;
-}
-
-exception Not_fusable
-
-let classify_fusable state line =
-  match Json.parse line with
-  | Error _ -> None
-  | Ok (Json.Obj _ as json) -> (
-    match
-      let exec = exec_of_json json in
-      let samples =
-        match (string_field json "verb", exec.mc_samples) with
-        | Some "yield", s -> Option.value s ~default:1000
-        | Some "evaluate", Some s -> s
-        | _ -> raise Not_fusable
-      in
-      if bypasses_result_cache exec then raise Not_fusable;
-      if exec.rel_error <> None || Run_ctx.rel_error state.base <> None then
-        raise Not_fusable;
-      let config = (spec_of_params (params_of_json json)).Design.cave in
-      let seed = Option.value exec.seed ~default:(Run_ctx.seed state.base) in
-      (* The effective strategy mirrors [Run_ctx.with_request]: the
-         request's [method] wins, otherwise the base context's. *)
-      let strategy =
-        match exec.mc_method with
-        | Some m -> m
-        | None -> Run_ctx.mc_method state.base
-      in
-      let mspec =
-        { Montecarlo.strategy; stopping = Montecarlo.Fixed_samples samples }
-      in
-      let key =
-        (* Same split as [request_spec]: only requests that opted into a
-           method get the spec-keyed estimate; the rest keep the legacy
-           plain key (where the base strategy still steers the build,
-           exactly as [Artifacts.estimate] runs it). *)
-        if exec.mc_method = None then
-          Artifacts.estimate_key ~seed ~samples config
-        else Artifacts.estimate_spec_key ~seed ~spec:mspec config
-      in
-      {
-        fuse_key = key;
-        fuse_seed = seed;
-        fuse_samples = samples;
-        fuse_spec = mspec;
-        fuse_config = config;
-      }
-    with
-    | plan -> Some plan
-    | exception _ -> None)
-  | Ok _ -> None
-
-(* Fused results ride to [run_estimate] as a key-indexed overlay: a hit
-   is installed through the cache's own [find_or_build] accounting, so
-   hit/miss counters and [cached] flags match serial execution. *)
-type overlay = (string, Montecarlo.estimate) Hashtbl.t
-
 (* --- response rendering ---
 
    Responses carry no wall-clock, pid or host fields: a response is a
@@ -444,7 +352,7 @@ let request_spec exec ~ctx ~samples =
   if exec.mc_method = None && exec.rel_error = None then None
   else Some (Montecarlo.spec_of_ctx ~ctx ~samples ())
 
-let run_estimate ?overlay state ~exec ~ctx ~samples config =
+let run_estimate state ~exec ~ctx ~samples config =
   let seed = Run_ctx.seed ctx in
   let spec = request_spec exec ~ctx ~samples in
   if bypasses_result_cache exec then (
@@ -454,29 +362,11 @@ let run_estimate ?overlay state ~exec ~ctx ~samples config =
         analysis,
       false ))
   else
-    let fused =
-      match overlay with
-      | None -> None
-      | Some tbl ->
-        let key =
-          match spec with
-          | None -> Artifacts.estimate_key ~seed ~samples config
-          | Some spec -> Artifacts.estimate_spec_key ~seed ~spec config
-        in
-        Option.map (fun e -> (key, e)) (Hashtbl.find_opt tbl key)
-    in
-    match fused with
-    | Some (key, e) ->
-      (* The fused run already produced this request's bits; one cache
-         round installs them with serial hit/miss accounting. *)
-      Artifacts.estimate_with state.artifacts ~key ~build:(fun () -> e)
-    | None -> (
-      match spec with
-      | None -> Artifacts.estimate state.artifacts ~ctx ~seed ~samples config
-      | Some spec ->
-        Artifacts.estimate_spec state.artifacts ~ctx ~seed ~spec config)
+    match spec with
+    | None -> Artifacts.estimate state.artifacts ~ctx ~seed ~samples config
+    | Some spec -> Artifacts.estimate_spec state.artifacts ~ctx ~seed ~spec config
 
-let run_evaluate ?overlay state ~exec params =
+let run_evaluate state ~exec params =
   let spec = spec_of_params params in
   let report, report_hit = Artifacts.report state.artifacts spec in
   match exec.mc_samples with
@@ -485,9 +375,7 @@ let run_evaluate ?overlay state ~exec params =
     with_request_ctx state exec @@ fun ctx ->
     let seed = Run_ctx.seed ctx in
     let config = spec.Design.cave in
-    let estimate, est_hit =
-      run_estimate ?overlay state ~exec ~ctx ~samples config
-    in
+    let estimate, est_hit = run_estimate state ~exec ~ctx ~samples config in
     ( (match report_json report with
       | Json.Obj fields ->
         Json.Obj
@@ -501,16 +389,14 @@ let run_evaluate ?overlay state ~exec params =
       | other -> other),
       report_hit && est_hit )
 
-let run_yield ?overlay state ~exec params =
+let run_yield state ~exec params =
   let spec = spec_of_params params in
   let samples = Option.value exec.mc_samples ~default:1000 in
   with_request_ctx state exec @@ fun ctx ->
   let seed = Run_ctx.seed ctx in
   let config = spec.Design.cave in
   let analysis, _ = Artifacts.analysis state.artifacts config in
-  let estimate, est_hit =
-    run_estimate ?overlay state ~exec ~ctx ~samples config
-  in
+  let estimate, est_hit = run_estimate state ~exec ~ctx ~samples config in
   ( Json.Obj
       [
         ("analytic_yield", Json.Float analysis.Cave.yield);
@@ -636,23 +522,9 @@ let run_stats state =
               match sched.snapshot_age_s with
               | Some a -> Json.Float a
               | None -> Json.Null );
-            ( "batch",
-              match sched.batch with
-              | None -> Json.Null
-              | Some b ->
-                Json.Obj
-                  [
-                    ("window_ms", Json.Float (b.window_s *. 1000.));
-                    ("max_batch", Json.Int b.max_batch);
-                    ("buffered", Json.Int b.buffered);
-                    ("batches", Json.Int b.batches);
-                    ("fused_requests", Json.Int b.fused_requests);
-                    ("flush_window", Json.Int b.flush_window);
-                    ("flush_full", Json.Int b.flush_full);
-                    ("flush_drain", Json.Int b.flush_drain);
-                    ("size_p50", Json.Int b.size_p50);
-                    ("size_max", Json.Int b.size_max);
-                  ] );
+            (* Always null; kept because perfbench/run.py still reads
+               the field. *)
+            ("batch", Json.Null);
           ] );
       ( "cache",
         Json.Obj
@@ -674,7 +546,7 @@ let run_stats state =
 
 (* --- dispatch --- *)
 
-let dispatch ?overlay state ~id json =
+let dispatch state ~id json =
   let verb =
     match string_field json "verb" with
     | Some v -> v
@@ -688,8 +560,8 @@ let dispatch ?overlay state ~id json =
   let result, cached =
     match verb with
     | "ping" -> (Json.Obj [ ("pong", Json.Bool true) ], false)
-    | "evaluate" -> run_evaluate ?overlay state ~exec params
-    | "yield" -> run_yield ?overlay state ~exec params
+    | "evaluate" -> run_evaluate state ~exec params
+    | "yield" -> run_yield state ~exec params
     | "sweep" -> run_sweep state params
     | "codes" -> run_codes state params
     | "check" -> (run_check params, false)
@@ -718,7 +590,7 @@ let dispatch ?overlay state ~id json =
 
 let error_line err = Json.to_string (error_response ~id:Json.Null err)
 
-let handle_line ?overlay state line =
+let handle_line state line =
   Atomic.incr state.requests;
   let id, response =
     match Json.parse line with
@@ -729,7 +601,7 @@ let handle_line ?overlay state line =
       )
     | Ok (Json.Obj _ as json) -> (
       let id = Option.value (Json.member "id" json) ~default:Json.Null in
-      match dispatch ?overlay state ~id json with
+      match dispatch state ~id json with
       | response -> (id, Ok response)
       | exception exn -> (
         match Errors.classify exn with

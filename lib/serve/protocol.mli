@@ -46,22 +46,6 @@ type state
     functions of their requests; only the [stats] counters observe the
     interleaving). *)
 
-(** A live view of the batch-fusion layer, nested in {!scheduler} when
-    the server runs with a coalescing window ([--batch-window-ms] > 0).
-    All counters are cumulative since boot. *)
-type batch_view = {
-  window_s : float;  (** the coalescing window, seconds *)
-  max_batch : int;  (** flush threshold: requests per fused batch *)
-  buffered : int;  (** fusable requests currently held in the window *)
-  batches : int;  (** fused batches executed (size >= 2) *)
-  fused_requests : int;  (** requests that rode in fused batches *)
-  flush_window : int;  (** flushes triggered by the window deadline *)
-  flush_full : int;  (** flushes triggered by [max_batch] *)
-  flush_drain : int;  (** flushes forced by shutdown drain *)
-  size_p50 : int;  (** median flushed batch size (0 before any flush) *)
-  size_max : int;  (** largest flushed batch size *)
-}
-
 (** A live view of the server's dispatch scheduler, reported by the
     [stats] verb and (as drained-vs-shed counts) by [shutdown]. *)
 type scheduler = {
@@ -73,9 +57,6 @@ type scheduler = {
   snapshot_age_s : float option;
       (** seconds since the last successful cache snapshot; [None]
           when persistence is off or nothing was written yet *)
-  batch : batch_view option;
-      (** the batch-fusion layer's state; [None] when batching is off
-          (or for direct [handle_line] callers) *)
 }
 
 val make_state :
@@ -112,45 +93,9 @@ val set_scheduler_probe : state -> (unit -> scheduler) option -> unit
 val known_verbs : string list
 (** ping, evaluate, yield, sweep, codes, check, stats, shutdown. *)
 
-(** {2 Batch fusion} *)
-
-type fuse_plan = {
-  fuse_key : string;
-      (** the artifact-cache key this request's estimate will occupy *)
-  fuse_seed : int;
-  fuse_samples : int;
-  fuse_spec : Nanodec_numerics.Montecarlo.spec;
-      (** the exact (strategy × fixed-stopping) spec the request's own
-          execution would run *)
-  fuse_config : Nanodec_crossbar.Cave.config;
-}
-(** The fusable identity of one request: everything the batch layer
-    needs to precompute its Monte-Carlo estimate as part of a fused
-    mega-job and overlay the result onto the very key the request's own
-    execution looks up. *)
-
-val classify_fusable : state -> string -> fuse_plan option
-(** [classify_fusable state line] decides whether the request line's MC
-    work can ride a fused batch: an MC-bearing verb ([yield], or
-    [evaluate] with [mc_samples]), no cache bypass (fault plan /
-    [no_degrade] / timeout), no adaptive stopping (request or base
-    context).  Total — any parse or validation failure returns [None]
-    and the request takes the unfused path, reproducing its error
-    response bytes unchanged.  Classification never executes MC work. *)
-
-type overlay = (string, Nanodec_numerics.Montecarlo.estimate) Hashtbl.t
-(** Fused results keyed by {!fuse_plan.fuse_key}, handed back to
-    {!handle_line}: a request whose estimate key is in the overlay
-    installs the precomputed bits through the artifact cache's own
-    [find_or_build] accounting, so hit/miss counters and the [cached]
-    response flag are exactly what serial unbatched execution
-    produces. *)
-
-val handle_line : ?overlay:overlay -> state -> string -> string
+val handle_line : state -> string -> string
 (** [handle_line state line] executes one request line and returns the
-    response line (newline not included).  Total: never raises.
-    [?overlay] supplies fused batch results — pure overlay, never
-    steering: with or without it the response bytes are identical. *)
+    response line (newline not included).  Total: never raises. *)
 
 val error_line : Nanodec_error.t -> string
 (** Render a connection-level error (no request to take an ["id"]

@@ -29,24 +29,14 @@ type conn = {
       (* when the current incomplete line began — the slow-read guard *)
 }
 
-(* One admitted request, with everything its execution needs: the
-   response routing identity (conn, seq), the dispatch fault key, and —
-   when it buffered through the batch window — its fusable identity. *)
-type pending = {
+(* One admitted request: the response routing identity (conn, seq) and
+   the dispatch fault key. *)
+type job = {
   conn_id : int;
   seq : int;
   line : string;
   key : int;  (* serve.dispatch fault key *)
-  plan : Protocol.fuse_plan option;
 }
-
-type job =
-  | Single of pending
-  | Fused of { ordinal : int; reqs : pending list }
-
-let job_size = function
-  | Single _ -> 1
-  | Fused { reqs; _ } -> List.length reqs
 
 (* The dispatch scheduler: worker threads pull jobs from a bounded
    queue; the select loop is the only producer and the only consumer
@@ -74,7 +64,6 @@ type t = {
   max_line_bytes : int;
   max_inflight : int;
   max_queue : int;
-  batcher : pending Batcher.t option;  (* Some iff batch_window_s > 0 *)
   idle_timeout_s : float option;
   cache_file : string option;
   snapshot_interval_s : float;
@@ -154,12 +143,12 @@ let wake t =
 (* EAGAIN: a wake byte is already pending, which is all we need;
    EBADF/EPIPE: [close] raced us, the loop is gone anyway. *)
 
-let execute_line ?overlay t ~key ~line =
+let execute_line t ~key ~line =
   let t0 = Unix.gettimeofday () in
   let response =
     match
       Fault.hit (fault t) ~key "serve.dispatch";
-      Protocol.handle_line ?overlay t.state line
+      Protocol.handle_line t.state line
     with
     | response -> response
     | exception exn -> (
@@ -175,14 +164,12 @@ let execute_line ?overlay t ~key ~line =
   response
 
 (* Publish one finished request: settle the scheduler accounting and
-   hand the response to the select loop.  Fused batches publish
-   per-request as each member finishes, so early responses flush
-   without waiting for the whole batch. *)
-let finish t req response =
+   hand the response to the select loop. *)
+let finish t job response =
   Mutex.lock t.sched.mutex;
   t.sched.inflight <- t.sched.inflight - 1;
   t.sched.outstanding <- t.sched.outstanding - 1;
-  t.sched.completions <- (req.conn_id, req.seq, response) :: t.sched.completions;
+  t.sched.completions <- (job.conn_id, job.seq, response) :: t.sched.completions;
   Mutex.unlock t.sched.mutex;
   wake t
 
@@ -195,21 +182,9 @@ let worker_loop t =
     if Queue.is_empty t.sched.jobs then Mutex.unlock t.sched.mutex
     else begin
       let job = Queue.pop t.sched.jobs in
-      t.sched.inflight <- t.sched.inflight + job_size job;
+      t.sched.inflight <- t.sched.inflight + 1;
       Mutex.unlock t.sched.mutex;
-      (match job with
-      | Single req -> finish t req (execute_line t ~key:req.key ~line:req.line)
-      | Fused { ordinal; reqs } ->
-        (* One shared mega-run for the batch's cold estimates, then
-           each request executes (and errors, and counts) exactly as
-           it would alone — the overlay only pre-fills the cache
-           lookups its execution was going to make. *)
-        let plans = List.filter_map (fun r -> r.plan) reqs in
-        let overlay = Batcher.prepare ~state:t.state ~ordinal plans in
-        List.iter
-          (fun r ->
-            finish t r (execute_line ?overlay t ~key:r.key ~line:r.line))
-          reqs);
+      finish t job (execute_line t ~key:job.key ~line:job.line);
       loop ()
     end
   in
@@ -229,39 +204,11 @@ let stop_workers t ~join =
     t.sched.workers <- []
   end
 
-(* Queue a flushed batch for a worker.  Call with the scheduler mutex
-   held.  A single-request flush takes the exact unfused path; a real
-   fusion (>= 2) ships as one job whose prepare step runs the shared
-   mega-batch. *)
-let flush_batch_locked t b ~reason =
-  match Batcher.take b ~reason with
-  | [], _ -> ()
-  | reqs, ordinal ->
-    let n = List.length reqs in
-    (match sink t with
-    | Some s ->
-      Telemetry.observe (Telemetry.histogram s "serve.batch.size")
-        (float_of_int n)
-    | None -> ());
-    Telemetry.count (sink t)
-      (match reason with
-      | `Window -> "serve.batch.flush.window"
-      | `Full -> "serve.batch.flush.full"
-      | `Drain -> "serve.batch.flush.drain")
-      1;
-    (match reqs with
-    | [ req ] -> Queue.push (Single req) t.sched.jobs
-    | reqs ->
-      Telemetry.count (sink t) "serve.batch.fused" n;
-      Queue.push (Fused { ordinal; reqs }) t.sched.jobs);
-    Condition.signal t.sched.nonempty
-
 let scheduler_view t () =
   Mutex.lock t.sched.mutex;
   let inflight = t.sched.inflight in
-  let queued = Queue.fold (fun acc j -> acc + job_size j) 0 t.sched.jobs in
+  let queued = Queue.length t.sched.jobs in
   let shed = t.sched.shed in
-  let batch = Option.map Batcher.view t.batcher in
   Mutex.unlock t.sched.mutex;
   {
     Protocol.max_inflight = t.max_inflight;
@@ -271,24 +218,17 @@ let scheduler_view t () =
     shed;
     snapshot_age_s =
       Option.map (fun ts -> Unix.gettimeofday () -. ts) t.snapshot_time;
-    batch;
   }
 
 (* --- lifecycle --- *)
 
 let create ?(backlog = 16) ?(max_line_bytes = default_max_line_bytes)
     ?(max_inflight = default_max_inflight) ?(max_queue = default_max_queue)
-    ?(batch_window_s = 0.) ?(max_batch = 32) ?idle_timeout_s ?cache_file
-    ?(snapshot_interval_s = 5.0) ~state address =
+    ?idle_timeout_s ?cache_file ?(snapshot_interval_s = 5.0) ~state address =
   if max_inflight < 1 then
     E.invalid_inputf "max-inflight must be >= 1 (got %d)" max_inflight;
   if max_queue < 1 then
     E.invalid_inputf "max-queue must be >= 1 (got %d)" max_queue;
-  if not (batch_window_s >= 0. && batch_window_s < infinity) then
-    E.invalid_inputf "batch-window must be a finite time >= 0 (got %g)"
-      batch_window_s;
-  if max_batch < 2 then
-    E.invalid_inputf "max-batch must be >= 2 (got %d)" max_batch;
   Option.iter (E.check_timeout_s ~what:"idle-timeout") idle_timeout_s;
   E.check_timeout_s ~what:"snapshot-interval" snapshot_interval_s;
   Option.iter (load_snapshot ~state) cache_file;
@@ -340,10 +280,6 @@ let create ?(backlog = 16) ?(max_line_bytes = default_max_line_bytes)
       max_line_bytes;
       max_inflight;
       max_queue;
-      batcher =
-        (if batch_window_s > 0. then
-           Some (Batcher.create ~window_s:batch_window_s ~max_batch)
-         else None);
       idle_timeout_s;
       cache_file;
       snapshot_interval_s;
@@ -443,20 +379,6 @@ let submit t conn line =
   conn.next_seq <- seq + 1;
   let key = t.next_key in
   t.next_key <- key + 1;
-  (* Fusability is decided outside the scheduler mutex (it parses the
-     line).  Requests whose estimate key is already warm skip the
-     window entirely: buffering them would trade a cache hit's latency
-     for nothing. *)
-  let plan =
-    match t.batcher with
-    | None -> None
-    | Some _ -> (
-      match Protocol.classify_fusable t.state line with
-      | Some p
-        when not (Artifact_cache.mem (Protocol.artifacts t.state) p.Protocol.fuse_key)
-        -> Some p
-      | _ -> None)
-  in
   let capacity = t.max_inflight + t.max_queue in
   Mutex.lock t.sched.mutex;
   let outstanding = t.sched.outstanding in
@@ -471,20 +393,8 @@ let submit t conn line =
   end
   else begin
     t.sched.outstanding <- outstanding + 1;
-    let req = { conn_id = conn.id; seq; line; key; plan } in
-    (match (t.batcher, plan) with
-    | Some b, Some _ ->
-      Batcher.add b req ~now:(Unix.gettimeofday ());
-      if Batcher.length b >= Batcher.max_batch b then
-        flush_batch_locked t b ~reason:`Full
-      else if t.sched.outstanding = Batcher.length b then
-        (* Nothing else queued or running: holding the window would be
-           pure added latency (the serial-client case), so flush now —
-           accounted as a window flush. *)
-        flush_batch_locked t b ~reason:`Window
-    | _ ->
-      Queue.push (Single req) t.sched.jobs;
-      Condition.signal t.sched.nonempty);
+    Queue.push { conn_id = conn.id; seq; line; key } t.sched.jobs;
+    Condition.signal t.sched.nonempty;
     Mutex.unlock t.sched.mutex;
     Telemetry.record (sink t) "serve.queue_depth" (float_of_int (outstanding + 1))
   end
@@ -634,14 +544,6 @@ let check_idle t ~now =
    joined.  Complete lines that were read before the stop are all
    answered; only unread bytes are abandoned. *)
 let drain t =
-  (* Buffered requests are owed responses like any other: force them
-     out before settling. *)
-  (match t.batcher with
-  | Some b ->
-    Mutex.lock t.sched.mutex;
-    flush_batch_locked t b ~reason:`Drain;
-    Mutex.unlock t.sched.mutex
-  | None -> ());
   let deadline = Unix.gettimeofday () +. 30.0 in
   let rec settle () =
     drain_completions t;
@@ -686,27 +588,6 @@ let serve t =
         let now = Unix.gettimeofday () in
         check_idle t ~now;
         maybe_snapshot t ~now ~force:false;
-        (* Batch-window bookkeeping: flush an expired window, or one
-           whose members are the only outstanding work (completions
-           emptied everything around it — waiting on adds nothing). *)
-        let timeout =
-          match t.batcher with
-          | None -> 1.0
-          | Some b ->
-            Mutex.lock t.sched.mutex;
-            (match Batcher.deadline b with
-            | Some dl
-              when now >= dl || t.sched.outstanding = Batcher.length b ->
-              flush_batch_locked t b ~reason:`Window
-            | _ -> ());
-            let timeout =
-              match Batcher.deadline b with
-              | None -> 1.0
-              | Some dl -> Float.max 0.001 (Float.min 1.0 (dl -. now))
-            in
-            Mutex.unlock t.sched.mutex;
-            timeout
-        in
         let reads =
           t.listen_fd :: t.wake_r :: List.map (fun c -> c.fd) t.conns
         in
@@ -715,7 +596,7 @@ let serve t =
             (fun c -> if String.length c.out > c.sent then Some c.fd else None)
             t.conns
         in
-        match Unix.select reads writes [] timeout with
+        match Unix.select reads writes [] 1.0 with
         | r, w, _ ->
           if List.mem t.wake_r r then begin
             drain_wake t;

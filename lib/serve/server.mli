@@ -22,26 +22,6 @@
     submissions minus completions, the shed decision never depends on
     how quickly a worker thread happens to be scheduled.
 
-    {2 Batch fusion}
-
-    With [batch_window_s > 0], fusable MC-bearing requests
-    ({!Protocol.classify_fusable}) whose estimate key is cold coalesce
-    in a bounded window instead of dispatching one-by-one: the window
-    flushes when it expires, when [max_batch] requests have buffered,
-    or eagerly the moment its members are the only outstanding work
-    (so a serial client never pays the window as latency).  A flushed
-    batch of two or more ships as one fused job — one shared
-    {!Nanodec_numerics.Montecarlo.run_many} mega-run over the batch's
-    distinct cold estimates ({!Batcher.prepare}), then per-request
-    execution against the precomputed overlay.  Fusion is pure
-    scheduling: response bytes, cache accounting and arrival-order
-    writing are identical to the unbatched daemon.  Telemetry:
-    [serve.batch.size] histogram, [serve.batch.fused] and
-    [serve.batch.flush.{window,full,drain}] counters; an injected
-    [serve.batch] crash (keyed by the fused-batch ordinal) falls the
-    batch back to per-request execution and counts
-    [serve.batch.fallbacks].
-
     {2 Robustness}
 
     {ul
@@ -98,8 +78,6 @@ val create :
   ?max_line_bytes:int ->
   ?max_inflight:int ->
   ?max_queue:int ->
-  ?batch_window_s:float ->
-  ?max_batch:int ->
   ?idle_timeout_s:float ->
   ?cache_file:string ->
   ?snapshot_interval_s:float ->
@@ -109,9 +87,7 @@ val create :
 (** Bind and listen (unlinking a pre-existing Unix socket path), load
     the [cache_file] snapshot if one is given, install the scheduler
     probe into [state] and start the worker threads.  TCP binds
-    loopback only.  [batch_window_s] defaults to 0 (batch fusion off —
-    the CLI defaults it on at 2 ms); [max_batch] to 32 (must be >= 2).
-    [idle_timeout_s] defaults to off; [snapshot_interval_s] to 5 s
+    loopback only.  [idle_timeout_s] defaults to off; [snapshot_interval_s] to 5 s
     (meaningful only with [cache_file]).  Raises
     [Nanodec_error.Error (Invalid_input _)] when the address cannot be
     bound or a knob is out of range. *)

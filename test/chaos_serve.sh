@@ -29,10 +29,7 @@ cleanup() {
 trap cleanup EXIT
 
 start_daemon() {
-  # Batch fusion explicitly on (the CLI default, pinned here so this
-  # battery keeps exercising the fused dispatch path if the default
-  # ever moves): crash-safety must hold with coalescing active.
-  "$NANODEC" serve --socket "$SOCK" --domains 2 --batch-window-ms 2 \
+  "$NANODEC" serve --socket "$SOCK" --domains 2 \
     --cache-file "$CACHE" --snapshot-interval 1 &
   DAEMON=$!
 }

@@ -1,16 +1,14 @@
 #!/bin/sh
 # Serve daemon smoke battery (the CI serve-smoke job).
 #
-# Boots `nanodec serve` three times (1 and 4 domains with the default
-# 2 ms batch-fusion window, then 4 domains with --batch-window-ms 0)
-# and drives the same request batteries through `nanodec client`:
+# Boots `nanodec serve` twice (1 and 4 domains) and drives the same
+# request batteries through `nanodec client`:
 #   - a stable battery (no floating-point payloads: happy-path ping and
 #     codes, malformed JSON, an unknown verb, two validation failures)
 #     diffed against the committed golden bytes;
 #   - a numeric battery (cold + repeated Monte-Carlo evaluates and a
-#     chaos-plan yield) diffed across the two domain counts AND across
-#     batching on/off — the daemon's answers must be byte-identical
-#     on 1 and 4 domains, fused or not.
+#     chaos-plan yield) diffed across the two domain counts — the
+#     daemon's answers must be byte-identical on 1 and 4 domains.
 # On top of the diffs: the repeated evaluate must be served from the
 # cache, bit-identical to its cold bytes, and the chaos request must
 # recover the exact bytes of its uninjected twin.
@@ -21,9 +19,8 @@ GOLDEN="${GOLDEN:-test/golden/serve_smoke.golden}"
 SOCK="${TMPDIR:-/tmp}/nanodec-smoke-$$.sock"
 OUT="${TMPDIR:-/tmp}/nanodec-smoke-$$"
 
-run_battery() { # $1 = domains, $2 = output prefix, $3 = extra daemon flags
-  # shellcheck disable=SC2086 — $3 is intentionally word-split flags
-  "$NANODEC" serve --socket "$SOCK" --domains "$1" ${3:-} &
+run_battery() { # $1 = domains, $2 = output prefix
+  "$NANODEC" serve --socket "$SOCK" --domains "$1" &
   pid=$!
   "$NANODEC" client --socket "$SOCK" \
     '{"id":1,"verb":"ping"}' \
@@ -45,7 +42,6 @@ run_battery() { # $1 = domains, $2 = output prefix, $3 = extra daemon flags
 
 run_battery 1 "$OUT-d1"
 run_battery 4 "$OUT-d4"
-run_battery 4 "$OUT-nobatch" "--batch-window-ms 0"
 
 echo "diff: stable battery vs committed golden"
 diff -u "$GOLDEN" "$OUT-d1.stable"
@@ -53,10 +49,6 @@ echo "diff: stable battery, 1 vs 4 domains"
 diff -u "$OUT-d1.stable" "$OUT-d4.stable"
 echo "diff: numeric battery, 1 vs 4 domains"
 diff -u "$OUT-d1.numeric" "$OUT-d4.numeric"
-echo "diff: stable battery, batch fusion on vs off"
-diff -u "$OUT-d4.stable" "$OUT-nobatch.stable"
-echo "diff: numeric battery, batch fusion on vs off"
-diff -u "$OUT-d4.numeric" "$OUT-nobatch.numeric"
 
 echo "check: repeated evaluate is a cache hit with the cold bytes"
 grep -q '"id":6,"status":"ok","verb":"evaluate","cached":false' "$OUT-d1.numeric"
@@ -70,6 +62,5 @@ chaos=$(sed -n '3p' "$OUT-d1.numeric" | sed 's/"id":8/"id":9/')
 clean=$(sed -n '4p' "$OUT-d1.numeric")
 [ "$chaos" = "$clean" ]
 
-rm -f "$OUT-d1.stable" "$OUT-d1.numeric" "$OUT-d4.stable" "$OUT-d4.numeric" \
-  "$OUT-nobatch.stable" "$OUT-nobatch.numeric"
+rm -f "$OUT-d1.stable" "$OUT-d1.numeric" "$OUT-d4.stable" "$OUT-d4.numeric"
 echo "serve smoke: OK"

@@ -101,6 +101,223 @@ let test_failed_build_stores_nothing () =
   in
   Alcotest.(check (pair int bool)) "recovers on retry" (7, false) (v, hit)
 
+(* --- single-flight ---
+
+   Concurrent misses on one key are held on a gate inside [build];
+   the test opens it once every caller has had time to reach the
+   cache.  A caller that only arrives after the build has landed is a
+   plain hit, so the assertions hold however the threads are
+   scheduled — but a cache without single-flight builds once per
+   caller that missed while the gate was shut. *)
+
+type gate = { mu : Mutex.t; cv : Condition.t; mutable opened : bool }
+
+let gate () = { mu = Mutex.create (); cv = Condition.create (); opened = false }
+
+let gate_wait g =
+  Mutex.lock g.mu;
+  while not g.opened do
+    Condition.wait g.cv g.mu
+  done;
+  Mutex.unlock g.mu
+
+let gate_open g =
+  Mutex.lock g.mu;
+  g.opened <- true;
+  Condition.broadcast g.cv;
+  Mutex.unlock g.mu
+
+(* Run [n] concurrent [find_or_build cache ~key:"k" build] calls, the
+   first of which is certain to run [build]: the others start only
+   once [build] is running, and [release] opens its gate after they
+   have all entered.  Returns each caller's outcome. *)
+let race ~n cache build ~started ~release =
+  let outcomes = Array.make n None in
+  let call i () =
+    outcomes.(i) <-
+      Some
+        (match Artifact_cache.find_or_build cache ~key:"k" build with
+        | r -> Ok r
+        | exception exn -> Error exn)
+  in
+  let first = Thread.create (call 0) () in
+  gate_wait started;
+  let entered = Atomic.make 0 in
+  let rest =
+    List.init (n - 1) (fun i ->
+        Thread.create
+          (fun () ->
+            Atomic.incr entered;
+            call (i + 1) ())
+          ())
+  in
+  while Atomic.get entered < n - 1 do
+    Thread.yield ()
+  done;
+  Thread.delay 0.05;
+  gate_open release;
+  List.iter Thread.join (first :: rest);
+  Array.map Option.get outcomes
+
+let test_single_flight_one_build () =
+  let n = 8 in
+  let cache = Artifact_cache.create ~capacity:4 () in
+  let builds = Atomic.make 0 in
+  let started = gate () and release = gate () in
+  let build () =
+    Atomic.incr builds;
+    gate_open started;
+    gate_wait release;
+    [| 42 |]
+  in
+  let outcomes = race ~n cache build ~started ~release in
+  Alcotest.(check int) "exactly one build" 1 (Atomic.get builds);
+  let values = Array.map (function Ok (v, _) -> v | Error e -> raise e) outcomes in
+  Array.iter
+    (fun v ->
+      Alcotest.(check bool) "every caller gets the built value" true
+        (v == values.(0)))
+    values;
+  let hits =
+    Array.fold_left
+      (fun acc o -> match o with Ok (_, true) -> acc + 1 | _ -> acc)
+      0 outcomes
+  in
+  Alcotest.(check int) "n - 1 hits" (n - 1) hits;
+  let s = Artifact_cache.stats cache in
+  Alcotest.(check (pair int int)) "stats: n - 1 hits, one miss" (n - 1, 1)
+    (s.Artifact_cache.hits, s.Artifact_cache.misses)
+
+let test_single_flight_failure_reaches_every_waiter () =
+  let n = 6 in
+  let cache = Artifact_cache.create ~capacity:4 () in
+  let builds = Atomic.make 0 in
+  let started = gate () and release = gate () in
+  let build () =
+    Atomic.incr builds;
+    gate_open started;
+    gate_wait release;
+    failwith "build exploded"
+  in
+  let outcomes = race ~n cache build ~started ~release in
+  Alcotest.(check int) "one failed build" 1 (Atomic.get builds);
+  Array.iter
+    (function
+      | Error (Failure msg) ->
+        Alcotest.(check string) "every waiter gets the exception"
+          "build exploded" msg
+      | Error e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
+      | Ok _ -> Alcotest.fail "a caller got a value from a failed build")
+    outcomes;
+  Alcotest.(check bool) "nothing stored" false (Artifact_cache.mem cache "k");
+  let v, hit = Artifact_cache.find_or_build cache ~key:"k" (fun () -> [| 7 |]) in
+  Alcotest.(check (pair (array int) bool)) "the next call rebuilds" ([| 7 |], false)
+    (v, hit)
+
+let test_disabled_cache_builds_every_call () =
+  let n = 4 in
+  let cache = Artifact_cache.create ~enabled:false ~capacity:4 () in
+  let builds = Atomic.make 0 in
+  (* Every build waits until all [n] are running at once — reachable
+     only if the disabled cache does not single-flight them.  The
+     deadline turns a regression into a failure rather than a hang. *)
+  let build () =
+    Atomic.incr builds;
+    let deadline = Unix.gettimeofday () +. 5. in
+    while Atomic.get builds < n && Unix.gettimeofday () < deadline do
+      Thread.delay 0.001
+    done;
+    Atomic.get builds
+  in
+  let threads =
+    List.init n (fun _ ->
+        Thread.create
+          (fun () ->
+            let _, hit = Artifact_cache.find_or_build cache ~key:"k" build in
+            Alcotest.(check bool) "never a hit" false hit)
+          ())
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "one build per call" n (Atomic.get builds);
+  Alcotest.(check int) "every call a miss" n
+    (Artifact_cache.stats cache).Artifact_cache.misses
+
+(* A flight holds back only callers of its own key: while "a" is held
+   on a shut gate, a miss on "b" builds and returns.  A cache that
+   serialised all builds behind one lock would keep "b" waiting until
+   the gate opens; the deadline turns that into a failure, not a hang. *)
+let test_single_flight_is_per_key () =
+  let cache = Artifact_cache.create ~capacity:4 () in
+  let started = gate () and release = gate () in
+  let a =
+    Thread.create
+      (fun () ->
+        ignore
+          (Artifact_cache.find_or_build cache ~key:"a" (fun () ->
+               gate_open started;
+               gate_wait release;
+               1)))
+      ()
+  in
+  gate_wait started;
+  let b_done = Atomic.make false in
+  let b =
+    Thread.create
+      (fun () ->
+        let v, hit = Artifact_cache.find_or_build cache ~key:"b" (fun () -> 2) in
+        Alcotest.(check (pair int bool)) "b is a fresh build" (2, false) (v, hit);
+        Atomic.set b_done true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get b_done)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  let b_finished_while_a_in_flight = Atomic.get b_done in
+  gate_open release;
+  List.iter Thread.join [ a; b ];
+  Alcotest.(check bool) "b built while a was in flight" true
+    b_finished_while_a_in_flight;
+  Alcotest.(check (list string)) "both stored, a most recent" [ "a"; "b" ]
+    (Artifact_cache.keys cache)
+
+(* Builds nest downward — the daemon's estimate build requests its
+   kernel, the kernel its analysis.  Concurrent callers of the outer
+   key still cost one outer and one inner build, and the nested
+   request on another key never waits on the outer flight. *)
+let test_single_flight_nested_builds () =
+  let n = 5 in
+  let cache = Artifact_cache.create ~capacity:4 () in
+  let outer_builds = Atomic.make 0 and inner_builds = Atomic.make 0 in
+  let started = gate () and release = gate () in
+  let build () =
+    Atomic.incr outer_builds;
+    gate_open started;
+    gate_wait release;
+    let inner, hit =
+      Artifact_cache.find_or_build cache ~key:"inner" (fun () ->
+          Atomic.incr inner_builds;
+          [| 3 |])
+    in
+    Alcotest.(check bool) "inner is a miss inside the outer build" false hit;
+    Array.append inner [| 4 |]
+  in
+  let outcomes = race ~n cache build ~started ~release in
+  Array.iter
+    (function
+      | Ok (v, _) ->
+        Alcotest.(check (array int)) "every caller gets the outer value"
+          [| 3; 4 |] v
+      | Error e -> raise e)
+    outcomes;
+  Alcotest.(check (pair int int)) "one outer build, one inner build" (1, 1)
+    (Atomic.get outer_builds, Atomic.get inner_builds);
+  let s = Artifact_cache.stats cache in
+  Alcotest.(check (pair int int)) "stats: n - 1 hits, two misses" (n - 1, 2)
+    (s.Artifact_cache.hits, s.Artifact_cache.misses);
+  Alcotest.(check (list string)) "outer landed after inner" [ "k"; "inner" ]
+    (Artifact_cache.keys cache)
+
 let test_stats_accounting () =
   let cache = Artifact_cache.create ~capacity:2 () in
   let get k = Artifact_cache.find_or_build cache ~key:k (fun () -> k) in
@@ -417,6 +634,16 @@ let suite =
     Alcotest.test_case "capacity < 1 rejected" `Quick test_capacity_validated;
     Alcotest.test_case "failed build stores nothing" `Quick
       test_failed_build_stores_nothing;
+    Alcotest.test_case "single-flight: one build, n - 1 hits" `Quick
+      test_single_flight_one_build;
+    Alcotest.test_case "single-flight: failure reaches every waiter" `Quick
+      test_single_flight_failure_reaches_every_waiter;
+    Alcotest.test_case "disabled cache builds on every call" `Quick
+      test_disabled_cache_builds_every_call;
+    Alcotest.test_case "single-flight is per key" `Quick
+      test_single_flight_is_per_key;
+    Alcotest.test_case "single-flight: nested builds, one each" `Quick
+      test_single_flight_nested_builds;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "oracle: cache_hit = cache_miss" `Quick

@@ -251,6 +251,55 @@ let test_stats_counts () =
   Alcotest.(check int) "serial queued" 0 (int_member "queued" serve);
   Alcotest.(check int) "serial shed" 0 (int_member "shed" serve)
 
+(* Concurrent duplicates of one cold request cost what a single request
+   costs: every cache layer (estimate, kernel, analysis, ν) is built
+   once, exactly one response is the cold build, and every response
+   carries the serial result bytes. *)
+let test_concurrent_duplicates_build_once () =
+  let line =
+    {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":11,"mc_samples":2000}}|}
+  in
+  let cache_stats state = member "cache" (expect_ok (ask state {|{"verb":"stats"}|})) in
+  let reference, ref_cache =
+    with_state @@ fun state ->
+    let r = ask state line in
+    (Json.to_string (expect_ok r), cache_stats state)
+  in
+  let n = 8 in
+  with_state @@ fun state ->
+  let ready = Atomic.make 0 in
+  let responses = Array.make n "" in
+  let threads =
+    List.init n (fun i ->
+        Thread.create
+          (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < n do
+              Thread.yield ()
+            done;
+            responses.(i) <- Protocol.handle_line state line)
+          ())
+  in
+  List.iter Thread.join threads;
+  let parsed = Array.map parse_response responses in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check string)
+        (Printf.sprintf "response %d = serial result bytes" i)
+        reference
+        (Json.to_string (expect_ok r)))
+    parsed;
+  let cold =
+    Array.fold_left
+      (fun acc r -> if bool_member "cached" r then acc else acc + 1)
+      0 parsed
+  in
+  Alcotest.(check int) "exactly one cold response" 1 cold;
+  let cache = cache_stats state in
+  Alcotest.(check (pair int int)) "builds and entries = one serial request"
+    (int_member "misses" ref_cache, int_member "entries" ref_cache)
+    (int_member "misses" cache, int_member "entries" cache)
+
 let test_shutdown_flag () =
   with_state @@ fun state ->
   Alcotest.(check bool) "not stopping initially" false
@@ -398,15 +447,14 @@ let test_no_degrade_mapping () =
 
 (* --- sockets --- *)
 
-let serve_in_thread ?max_line_bytes ?max_inflight ?max_queue ?batch_window_s
-    ?max_batch ?idle_timeout_s ?cache_file ?snapshot_interval_s ?sink ?fault
-    ?(domains = 2) ?cache_enabled address k =
+let serve_in_thread ?max_line_bytes ?max_inflight ?max_queue ?idle_timeout_s
+    ?cache_file ?snapshot_interval_s ?sink ?fault ?(domains = 2) ?cache_enabled
+    address k =
   Run_ctx.with_ctx ?telemetry:sink ?fault ~domains @@ fun ctx ->
   let state = Protocol.make_state ?cache_enabled ~base:ctx () in
   let server =
-    Server.create ?max_line_bytes ?max_inflight ?max_queue ?batch_window_s
-      ?max_batch ?idle_timeout_s ?cache_file ?snapshot_interval_s ~state
-      address
+    Server.create ?max_line_bytes ?max_inflight ?max_queue ?idle_timeout_s
+      ?cache_file ?snapshot_interval_s ~state address
   in
   let thread = Thread.create Server.serve server in
   Fun.protect
@@ -597,6 +645,8 @@ let test_overload_sheds_deterministically () =
   Alcotest.(check int) "stats shed count" 3 (int_member "shed" serve);
   Alcotest.(check int) "stats max_inflight" 1 (int_member "max_inflight" serve);
   Alcotest.(check int) "stats max_queue" 1 (int_member "max_queue" serve);
+  Alcotest.(check bool) "stats batch is null" true
+    (member "batch" serve = Json.Null);
   Alcotest.(check (option int)) "serve.shed telemetry matches exactly"
     (Some 3)
     (List.assoc_opt "serve.shed" (Telemetry.counters sink));
@@ -768,8 +818,8 @@ let soak_requests =
       {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":5,"mc_samples":200,"fault_plan":"seed=2009;pool.chunk:delay=2ms:p=0.5;mc.sample_batch:delay=1ms:p=0.3"}}|};
     ]
 
-let run_soak ?batch_window_s ?cache_enabled ?(warmup = true) ~domains () =
-  serve_in_thread ?batch_window_s ?cache_enabled ~domains (`Tcp 0)
+let run_soak ?fault ?cache_enabled ?(warmup = true) ~clients ~domains () =
+  serve_in_thread ?fault ?cache_enabled ~domains (`Tcp 0)
   @@ fun address ->
   (* Warmup: prime the cache so the soak responses all carry
      cached=true and are therefore byte-comparable.  Skipped for the
@@ -778,9 +828,9 @@ let run_soak ?batch_window_s ?cache_enabled ?(warmup = true) ~domains () =
   if warmup then
     Client.with_connection address (fun conn ->
         List.iter (fun line -> ignore (Client.request conn line)) soak_requests);
-  let results = Array.make 8 [] in
+  let results = Array.make clients [] in
   let clients =
-    List.init 8 (fun i ->
+    List.init clients (fun i ->
         Thread.create
           (fun () ->
             Client.with_connection address @@ fun conn ->
@@ -794,8 +844,8 @@ let run_soak ?batch_window_s ?cache_enabled ?(warmup = true) ~domains () =
   Array.to_list results
 
 let test_concurrent_soak_deterministic () =
-  let soak1 = run_soak ~domains:1 () in
-  let soak4 = run_soak ~domains:4 () in
+  let soak1 = run_soak ~clients:8 ~domains:1 () in
+  let soak4 = run_soak ~clients:8 ~domains:4 () in
   let reference = List.hd soak1 in
   List.iteri
     (fun i responses ->
@@ -810,223 +860,42 @@ let test_concurrent_soak_deterministic () =
         reference responses)
     soak4
 
-(* Batch fusion is pure scheduling: the same soak (including its
-   fault-plan request, which is unfusable and rides the Single path
-   through a batching daemon) with a 2 ms window must produce the same
-   bytes as the unbatched daemon, at domains 1 and 4 alike. *)
-let test_batched_soak_identical () =
-  let reference = List.hd (run_soak ~domains:1 ()) in
-  List.iter
-    (fun domains ->
-      List.iteri
-        (fun i responses ->
-          Alcotest.(check (list string))
-            (Printf.sprintf "domains=%d batched client %d = unbatched bytes"
-               domains i)
-            reference responses)
-        (run_soak ~batch_window_s:0.002 ~domains ()))
-    [ 1; 4 ]
-
-(* With the result cache disabled every request is a fresh cold build,
-   so concurrent duplicates actually fuse — and the bytes still cannot
-   move. *)
-let test_batched_soak_uncached_identical () =
-  let reference = List.hd (run_soak ~cache_enabled:false ~warmup:false ~domains:1 ()) in
+(* With the result cache disabled every request is a fresh cold build
+   — concurrent duplicates included, since a disabled cache has no
+   single-flight — and the bytes still cannot move across domain
+   counts. *)
+let test_uncached_soak_identical () =
+  let reference =
+    List.hd (run_soak ~cache_enabled:false ~warmup:false ~clients:8 ~domains:1 ())
+  in
   List.iteri
     (fun i responses ->
       Alcotest.(check (list string))
-        (Printf.sprintf "uncached batched client %d = uncached unbatched bytes" i)
+        (Printf.sprintf "uncached client %d at domains=4 = domains=1 bytes" i)
         reference responses)
-    (run_soak ~batch_window_s:0.002 ~cache_enabled:false ~warmup:false
-       ~domains:4 ())
+    (run_soak ~cache_enabled:false ~warmup:false ~clients:8 ~domains:4 ())
 
-(* An injected serve.batch crash (or an active delay plan) during the
-   soak: every fused batch that hits it falls back to per-request
-   execution — responses must not move a byte. *)
-let test_batched_soak_under_fault_identical () =
+(* Daemon-wide fault plans (dispatch delays, Monte-Carlo chunk delays)
+   scramble completion order under concurrent cold load; responses
+   must not move a byte. *)
+let test_soak_under_fault_identical () =
   let reference =
-    List.hd (run_soak ~cache_enabled:false ~warmup:false ~domains:1 ())
+    List.hd (run_soak ~cache_enabled:false ~warmup:false ~clients:1 ~domains:1 ())
   in
   List.iter
     (fun plan ->
       let fault = Fault.create (Fault.parse_exn plan) in
-      serve_in_thread ~fault ~batch_window_s:0.002 ~cache_enabled:false
-        ~domains:4 (`Tcp 0)
-      @@ fun address ->
-      let results = Array.make 4 [] in
-      let clients =
-        List.init 4 (fun i ->
-            Thread.create
-              (fun () ->
-                Client.with_connection address @@ fun conn ->
-                results.(i) <-
-                  List.map (fun line -> Client.request conn line) soak_requests)
-              ())
-      in
-      List.iter Thread.join clients;
-      (Client.with_connection address @@ fun conn ->
-       ignore (Client.request conn {|{"verb":"shutdown"}|}));
-      Array.iteri
+      List.iteri
         (fun i responses ->
           Alcotest.(check (list string))
             (Printf.sprintf "client %d under %s = fault-free bytes" i plan)
             reference responses)
-        results)
+        (run_soak ~fault ~cache_enabled:false ~warmup:false ~clients:4
+           ~domains:4 ()))
     [
-      "seed=3;serve.batch:crash:p=1";
-      "seed=4;serve.batch:delay=1ms:p=1;mc.sample_batch:delay=1ms:p=0.2";
+      "seed=3;serve.dispatch:delay=1ms:p=1";
+      "seed=4;pool.chunk:delay=1ms:p=0.5;mc.sample_batch:delay=1ms:p=0.2";
     ]
-
-(* --- the batcher itself --- *)
-
-let test_batcher_mechanics () =
-  let b = Batcher.create ~window_s:0.005 ~max_batch:3 in
-  Alcotest.(check int) "empty" 0 (Batcher.length b);
-  Alcotest.(check bool) "deadline unarmed" true (Batcher.deadline b = None);
-  Batcher.add b "a" ~now:1.0;
-  Alcotest.(check (option (float 1e-9))) "first add arms the deadline"
-    (Some 1.005) (Batcher.deadline b);
-  Batcher.add b "b" ~now:1.002;
-  Alcotest.(check (option (float 1e-9))) "later adds leave it"
-    (Some 1.005) (Batcher.deadline b);
-  Batcher.add b "c" ~now:1.004;
-  Alcotest.(check int) "buffered" 3 (Batcher.length b);
-  let xs, ord0 = Batcher.take b ~reason:`Full in
-  Alcotest.(check (list string)) "arrival order" [ "a"; "b"; "c" ] xs;
-  Alcotest.(check int) "first fused ordinal" 0 ord0;
-  Alcotest.(check int) "drained" 0 (Batcher.length b);
-  Alcotest.(check bool) "deadline disarmed" true (Batcher.deadline b = None);
-  Batcher.add b "d" ~now:2.0;
-  let xs, ord1 = Batcher.take b ~reason:`Window in
-  Alcotest.(check (list string)) "singleton flush" [ "d" ] xs;
-  Alcotest.(check int) "singleton sees the next ordinal" 1 ord1;
-  Batcher.add b "e" ~now:3.0;
-  Batcher.add b "f" ~now:3.001;
-  let xs, ord2 = Batcher.take b ~reason:`Drain in
-  Alcotest.(check (list string)) "drain order" [ "e"; "f" ] xs;
-  Alcotest.(check int) "singleton did not advance the ordinal" 1 ord2;
-  let v = Batcher.view b in
-  Alcotest.(check int) "fused batches" 2 v.Protocol.batches;
-  Alcotest.(check int) "fused requests" 5 v.Protocol.fused_requests;
-  Alcotest.(check int) "window flushes" 1 v.Protocol.flush_window;
-  Alcotest.(check int) "full flushes" 1 v.Protocol.flush_full;
-  Alcotest.(check int) "drain flushes" 1 v.Protocol.flush_drain;
-  Alcotest.(check int) "p50 size" 2 v.Protocol.size_p50;
-  Alcotest.(check int) "max size" 3 v.Protocol.size_max;
-  Alcotest.check_raises "window_s must be positive"
-    (Invalid_argument "Batcher.create: window_s must be > 0") (fun () ->
-      ignore (Batcher.create ~window_s:0. ~max_batch:4));
-  Alcotest.check_raises "max_batch must be >= 2"
-    (Invalid_argument "Batcher.create: max_batch must be >= 2") (fun () ->
-      ignore (Batcher.create ~window_s:0.001 ~max_batch:1))
-
-(* The permutation oracle: fusing ANY arrival order of K queued fusable
-   requests — classify, one [Batcher.prepare] mega-run, then per-request
-   execution against the overlay — answers every request byte-identically
-   to a fresh unfused daemon handling it.  Order must be invisible
-   because each item keeps its own seed-derived stream family. *)
-let test_fusion_permutation_oracle () =
-  let lines =
-    [
-      {|{"verb":"evaluate","params":{"code":"BGC","length":8},"exec":{"seed":21,"mc_samples":60}}|};
-      {|{"verb":"evaluate","params":{"code":"TC","length":8},"exec":{"seed":22,"mc_samples":80}}|};
-      {|{"verb":"yield","params":{"code":"HC","length":6},"exec":{"seed":23,"mc_samples":60}}|};
-      {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":24,"mc_samples":100,"method":"stratified:4"}}|};
-    ]
-  in
-  let reference =
-    with_state @@ fun state ->
-    List.map (fun l -> (l, Protocol.handle_line state l)) lines
-  in
-  let rec permutations = function
-    | [] -> [ [] ]
-    | l ->
-      List.concat_map
-        (fun x ->
-          List.map
-            (fun p -> x :: p)
-            (permutations (List.filter (fun y -> y != x) l)))
-        l
-  in
-  List.iter
-    (fun perm ->
-      with_state @@ fun state ->
-      let plans =
-        List.map
-          (fun l ->
-            match Protocol.classify_fusable state l with
-            | Some p -> p
-            | None -> Alcotest.failf "request unexpectedly unfusable: %s" l)
-          perm
-      in
-      let overlay =
-        match Batcher.prepare ~state ~ordinal:0 plans with
-        | Some o -> o
-        | None -> Alcotest.fail "prepare fell back without a fault"
-      in
-      List.iter
-        (fun line ->
-          Alcotest.(check string)
-            ("fused response to " ^ line)
-            (List.assoc line reference)
-            (Protocol.handle_line ~overlay state line))
-        perm)
-    (permutations lines)
-
-(* And with an injected serve.batch crash, [prepare] must decline (the
-   server then re-executes each request unfused) — same bytes. *)
-let test_prepare_crash_falls_back () =
-  let fault = Fault.create (Fault.parse_exn "seed=1;serve.batch:crash:p=1") in
-  let reference =
-    with_state @@ fun state ->
-    Protocol.handle_line state
-      {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":31,"mc_samples":80}}|}
-  in
-  Run_ctx.with_ctx ~domains:2 ~fault @@ fun ctx ->
-  let state = Protocol.make_state ~base:ctx () in
-  let line =
-    {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":31,"mc_samples":80}}|}
-  in
-  let plan =
-    match Protocol.classify_fusable state line with
-    | Some p -> p
-    | None -> Alcotest.fail "request unexpectedly unfusable"
-  in
-  (match Batcher.prepare ~state ~ordinal:0 [ plan; plan ] with
-  | None -> ()
-  | Some _ -> Alcotest.fail "prepare survived a p=1 serve.batch crash");
-  Alcotest.(check string) "fallback answers the unfused bytes" reference
-    (Protocol.handle_line state line)
-
-let test_stats_batch_view () =
-  (* Unbatched daemon: the stats verb reports batch = null. *)
-  (serve_in_thread (`Tcp 0) @@ fun address ->
-   Client.with_connection address @@ fun conn ->
-   let r = parse_response (Client.request conn {|{"verb":"stats"}|}) in
-   let serve = member "serve" (expect_ok r) in
-   Alcotest.(check bool) "batch null when fusion is off" true
-     (member "batch" serve = Json.Null));
-  (* Batched daemon: knobs echoed, counters coherent after traffic. *)
-  serve_in_thread ~batch_window_s:0.002 ~max_batch:7 (`Tcp 0)
-  @@ fun address ->
-  Client.with_connection address @@ fun conn ->
-  ignore
-    (Client.request conn
-       {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":41,"mc_samples":60}}|});
-  let r = parse_response (Client.request conn {|{"verb":"stats"}|}) in
-  let serve = member "serve" (expect_ok r) in
-  let batch = member "batch" serve in
-  Alcotest.(check (float 1e-9)) "window_ms" 2.0 (float_member "window_ms" batch);
-  Alcotest.(check int) "max_batch" 7 (int_member "max_batch" batch);
-  Alcotest.(check int) "nothing buffered at rest" 0
-    (int_member "buffered" batch);
-  (* A single serial client never fuses: its requests flush eagerly as
-     singletons the moment they are the only outstanding work. *)
-  Alcotest.(check int) "no fused batches from a serial client" 0
-    (int_member "batches" batch);
-  Alcotest.(check bool) "the cold request flushed through the window path"
-    true
-    (int_member "flush_window" batch >= 1)
 
 let suite =
   [
@@ -1045,6 +914,8 @@ let suite =
     Alcotest.test_case "sweep round trip" `Quick test_sweep_round_trip;
     Alcotest.test_case "check verb" `Quick test_check_verb;
     Alcotest.test_case "stats counters" `Quick test_stats_counts;
+    Alcotest.test_case "concurrent duplicates build each artifact once"
+      `Quick test_concurrent_duplicates_build_once;
     Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
     Alcotest.test_case "unknown verb" `Quick test_unknown_verb;
     Alcotest.test_case "malformed JSON leaves the daemon alive" `Quick
@@ -1081,18 +952,8 @@ let suite =
       test_corrupt_snapshot_starts_cold;
     Alcotest.test_case "8-client soak, domains 1 = domains 4" `Quick
       test_concurrent_soak_deterministic;
-    Alcotest.test_case "batcher buffer mechanics and stats" `Quick
-      test_batcher_mechanics;
-    Alcotest.test_case "fusion permutation oracle (24 orders)" `Quick
-      test_fusion_permutation_oracle;
-    Alcotest.test_case "serve.batch crash falls back to unfused bytes" `Quick
-      test_prepare_crash_falls_back;
-    Alcotest.test_case "stats reports the batch view" `Quick
-      test_stats_batch_view;
-    Alcotest.test_case "batched soak = unbatched bytes, domains 1 and 4"
-      `Quick test_batched_soak_identical;
-    Alcotest.test_case "uncached batched soak = unbatched bytes" `Quick
-      test_batched_soak_uncached_identical;
-    Alcotest.test_case "batched soak under fault plans = fault-free bytes"
-      `Quick test_batched_soak_under_fault_identical;
+    Alcotest.test_case "uncached soak, domains 4 = domains 1" `Quick
+      test_uncached_soak_identical;
+    Alcotest.test_case "soak under fault plans = fault-free bytes" `Quick
+      test_soak_under_fault_identical;
   ]
