@@ -125,7 +125,10 @@ let unwrap = function
 (* Single-flight: the first caller to miss [key] registers a flight and
    builds outside the mutex; callers that miss while it runs wait on
    the flight instead of building again.  Builds of other keys —
-   including the nested ones a build requests — proceed meanwhile. *)
+   including the nested ones a build requests — proceed meanwhile.
+   A flight that ran out of its builder's deadline says nothing about
+   the waiter's own, so the waiter looks again (and builds if need be)
+   rather than inherit the timeout. *)
 let find_or_build t ~key build =
   if not t.enabled then begin
     locked t (fun () -> t.misses <- t.misses + 1);
@@ -134,34 +137,35 @@ let find_or_build t ~key build =
     (v, false)
   end
   else
-    let step =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.table key with
-          | Some node ->
-            record_hit t node.cost_s;
-            unlink t node;
-            push_front t node;
-            `Done (Ok (node.value, true))
-          | None -> (
-            match Hashtbl.find_opt t.flights key with
-            | Some flight -> (
-              while Option.is_none flight.outcome do
-                Condition.wait flight.landed t.mutex
-              done;
-              match Option.get flight.outcome with
-              | Ok (v, cost_s) ->
-                record_hit t cost_s;
-                `Done (Ok (v, true))
-              | Error e ->
-                t.misses <- t.misses + 1;
-                `Done (Error e))
-            | None ->
-              let flight = { outcome = None; landed = Condition.create () } in
-              Hashtbl.replace t.flights key flight;
-              t.misses <- t.misses + 1;
-              `Build flight))
+    let rec lookup () =
+      match Hashtbl.find_opt t.table key with
+      | Some node ->
+        record_hit t node.cost_s;
+        unlink t node;
+        push_front t node;
+        `Done (Ok (node.value, true))
+      | None -> (
+        match Hashtbl.find_opt t.flights key with
+        | Some flight -> (
+          while Option.is_none flight.outcome do
+            Condition.wait flight.landed t.mutex
+          done;
+          match Option.get flight.outcome with
+          | Ok (v, cost_s) ->
+            record_hit t cost_s;
+            `Done (Ok (v, true))
+          | Error (Nanodec_error.Error (Nanodec_error.Timeout _), _) ->
+            lookup ()
+          | Error e ->
+            t.misses <- t.misses + 1;
+            `Done (Error e))
+        | None ->
+          let flight = { outcome = None; landed = Condition.create () } in
+          Hashtbl.replace t.flights key flight;
+          t.misses <- t.misses + 1;
+          `Build flight)
     in
-    match step with
+    match locked t lookup with
     | `Done r -> unwrap r
     | `Build flight ->
       let outcome =

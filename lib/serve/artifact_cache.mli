@@ -59,6 +59,17 @@ val find_or_build : 'v t -> key:string -> (unit -> 'v) -> 'v * bool
     next call builds afresh: a failure never poisons the key.  A
     disabled cache has no flights; it builds on every call.
 
+    The one exception is a deadline: when [build] raises
+    [Nanodec_error.Error (Timeout _)], that is the building caller's
+    deadline, not the waiters'.  Only the builder gets the timeout; each
+    waiter looks [key] up again — a hit if another build has landed
+    meanwhile, a wait on a newer flight, or a build of its own — so a
+    caller without a deadline never receives another caller's timeout.
+    Conversely a caller's own deadline bounds only the work its own
+    [build] does: a waiter blocks on someone else's flight for as long
+    as that build takes, and the value it then receives is the same
+    bytes it would have built.
+
     Waiting cannot deadlock as long as builds only request keys
     strictly below their own in a fixed order.  The daemon's builds
     nest downward — estimate → kernel → analysis → ν, and report and
@@ -73,7 +84,7 @@ val length : 'v t -> int
 
 val keys : 'v t -> string list
 (** Most recently used first — the eviction order reversed.  For tests
-    and the [stats] verb. *)
+    and offline diagnostics; the [stats] verb reports counts only. *)
 
 val stats : 'v t -> stats
 
@@ -93,8 +104,8 @@ val restore : 'v t -> (string * float * 'v) list -> unit
     most recently used tail.  No-op on a disabled cache. *)
 
 val digest : string -> string
-(** MD5 hex of a key — the short display handle used in logs and the
-    [stats] verb; never used for addressing. *)
+(** MD5 hex of a key — a short display handle for logs and
+    diagnostics; never used for addressing. *)
 
 val clear : 'v t -> unit
 (** Drop every entry (counters keep their totals; [evictions] does not

@@ -200,11 +200,13 @@ let exec_of_json json =
     E.invalid_inputf ~hint:(Printf.sprintf "got %s" (Json.to_string v))
       "field \"exec\" must be an object"
 
-(* A request that injects faults, forbids degradation or carries a
-   deadline must actually execute: serving its pooled work from the
-   result cache would skip the very failure semantics it asked for. *)
-let bypasses_result_cache exec =
-  exec.fault <> None || exec.no_degrade || exec.timeout_s <> None
+(* A request that injects faults or forbids degradation must actually
+   execute: serving its pooled work from the result cache would skip
+   the very failure semantics it asked for.  A deadline is no such
+   semantics — a result computed inside it is the same bytes as a
+   cached one — so deadline-bearing requests share the cache, and the
+   deadline bounds only the work the request runs itself. *)
+let bypasses_result_cache exec = exec.fault <> None || exec.no_degrade
 
 let with_request_ctx state exec f =
   Run_ctx.with_request ~base:state.base ?seed:exec.seed
@@ -537,11 +539,6 @@ let run_stats state =
             ("build_s", Json.Float s.Artifact_cache.build_s);
             ("saved_s", Json.Float s.Artifact_cache.saved_s);
           ] );
-      ( "keys",
-        Json.List
-          (List.map
-             (fun k -> Json.String (Artifact_cache.digest k))
-             (Artifact_cache.keys state.artifacts)) );
     ]
 
 (* --- dispatch --- *)

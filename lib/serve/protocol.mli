@@ -33,10 +33,15 @@
     Execution knobs in ["exec"] are validated by the same
     {!Nanodec_error} validators as the CLI flags and applied through
     {!Nanodec_parallel.Run_ctx.with_request}: plain requests borrow the
-    daemon's shared pool, while requests carrying a fault plan,
-    [no_degrade] or a timeout run on a private request-scoped pool (and
-    bypass the result caches, so injected faults and deadlines actually
-    execute). *)
+    daemon's shared pool, while requests carrying a fault plan or
+    [no_degrade] run on a private request-scoped pool and bypass the
+    result caches, so injected faults actually execute.  A timeout
+    alone does neither: a deadline-bearing request borrows the shared
+    pool and is served from the cache like any other, since a result
+    computed inside its deadline is the same bytes.  Its deadline
+    bounds only the work it runs itself; a timed-out build stores
+    nothing, and requests waiting on that build retry instead of
+    inheriting the timeout ({!Artifact_cache.find_or_build}). *)
 
 type state
 (** One daemon's protocol state: the artifact cache, the shared base

@@ -9,6 +9,7 @@ type address = [ `Unix of string | `Tcp of int ]
 let default_max_line_bytes = 1024 * 1024
 let default_max_inflight = 4
 let default_max_queue = 64
+let read_chunk = 65536
 
 type conn = {
   id : int;  (* completions address connections by id, not fd *)
@@ -70,6 +71,9 @@ type t = {
   sched : sched;
   wake_r : Unix.file_descr;  (* self-pipe: workers wake the select loop *)
   wake_w : Unix.file_descr;
+  read_buf : Bytes.t;
+      (* the select loop's one read buffer, shared by every socket and
+         the wake pipe; [feed] copies out whatever it keeps *)
   mutable conns : conn list;
   mutable open_ : bool;
   mutable next_conn_id : int;
@@ -297,6 +301,7 @@ let create ?(backlog = 16) ?(max_line_bytes = default_max_line_bytes)
         };
       wake_r;
       wake_w;
+      read_buf = Bytes.create read_chunk;
       conns = [];
       open_ = true;
       next_conn_id = 0;
@@ -364,9 +369,10 @@ let drain_completions t =
   List.iter (fun (conn_id, seq, r) -> complete t conn_id seq r) completions
 
 let drain_wake t =
-  let buf = Bytes.create 256 in
   let rec go () =
-    match Unix.read t.wake_r buf 0 256 with 0 -> () | _ -> go ()
+    match Unix.read t.wake_r t.read_buf 0 (Bytes.length t.read_buf) with
+    | 0 -> ()
+    | _ -> go ()
   in
   try go ()
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
@@ -413,14 +419,21 @@ let oversized t conn =
             hint = Some "one JSON object per line";
           }))
 
-(* Split freshly read bytes into complete lines (dispatching each) and
-   stash the incomplete tail back into [conn.inbuf], honouring the
-   oversized-line resync state. *)
-let feed t conn data =
-  let n = String.length data in
+(* The first '\n' in [data] at or after [i] and before [n]; bytes from
+   [n] on are stale leftovers of earlier reads. *)
+let rec newline_before data i n =
+  if i >= n then None
+  else if Bytes.get data i = '\n' then Some i
+  else newline_before data (i + 1) n
+
+(* Split the first [n] freshly read bytes of [data] into complete
+   lines (dispatching each) and stash the incomplete tail back into
+   [conn.inbuf], honouring the oversized-line resync state.  Nothing
+   keeps a reference to [data]: it is the shared read buffer. *)
+let feed t conn data n =
   let pos = ref 0 in
   while !pos < n do
-    match String.index_from_opt data !pos '\n' with
+    match newline_before data !pos n with
     | Some nl ->
       if conn.discarding then begin
         (* Tail of an already-answered oversized line: swallow it and
@@ -429,7 +442,7 @@ let feed t conn data =
         Buffer.clear conn.inbuf
       end
       else begin
-        Buffer.add_substring conn.inbuf data !pos (nl - !pos);
+        Buffer.add_subbytes conn.inbuf data !pos (nl - !pos);
         let line = Buffer.contents conn.inbuf in
         Buffer.clear conn.inbuf;
         if String.length line > t.max_line_bytes then oversized t conn
@@ -441,7 +454,7 @@ let feed t conn data =
       if not conn.discarding then begin
         if Buffer.length conn.inbuf = 0 && !pos < n then
           conn.line_started <- Some (Unix.gettimeofday ());
-        Buffer.add_substring conn.inbuf data !pos (n - !pos);
+        Buffer.add_subbytes conn.inbuf data !pos (n - !pos);
         if Buffer.length conn.inbuf > t.max_line_bytes then begin
           oversized t conn;
           conn.discarding <- true;
@@ -453,15 +466,12 @@ let feed t conn data =
 
 (* --- socket events --- *)
 
-let read_chunk = 65536
-
 (* Everything submitted has been answered and flushed. *)
 let settled conn =
   conn.next_write = conn.next_seq && conn.out = "" && conn.sent = 0
 
 let handle_readable t conn =
-  let bytes = Bytes.create read_chunk in
-  match Unix.read conn.fd bytes 0 read_chunk with
+  match Unix.read conn.fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 ->
     (* EOF: an incomplete trailing line is dropped by design (the
        client never finished sending it), but everything already
@@ -469,7 +479,7 @@ let handle_readable t conn =
     if settled conn then drop_conn t conn else conn.closing <- true
   | n ->
     conn.last_activity <- Unix.gettimeofday ();
-    feed t conn (Bytes.sub_string bytes 0 n)
+    feed t conn t.read_buf n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> drop_conn t conn

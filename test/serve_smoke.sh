@@ -6,12 +6,15 @@
 #   - a stable battery (no floating-point payloads: happy-path ping and
 #     codes, malformed JSON, an unknown verb, two validation failures)
 #     diffed against the committed golden bytes;
-#   - a numeric battery (cold + repeated Monte-Carlo evaluates and a
-#     chaos-plan yield) diffed across the two domain counts — the
-#     daemon's answers must be byte-identical on 1 and 4 domains.
-# On top of the diffs: the repeated evaluate must be served from the
-# cache, bit-identical to its cold bytes, and the chaos request must
-# recover the exact bytes of its uninjected twin.
+#   - a numeric battery (cold + repeated Monte-Carlo evaluates, a
+#     chaos-plan yield and a deadline-bearing repeat of the cold
+#     evaluate) diffed across the two domain counts — the daemon's
+#     answers must be byte-identical on 1 and 4 domains.  Its response
+#     heads (everything before "result", so no floats) are part of the
+#     golden too.
+# On top of the diffs: the repeated and the deadline-bearing evaluates
+# must be served from the cache, bit-identical to the cold bytes, and
+# the chaos request must recover the exact bytes of its uninjected twin.
 set -eu
 
 NANODEC="${NANODEC:-_build/default/bin/nanodec_cli.exe}"
@@ -35,6 +38,7 @@ run_battery() { # $1 = domains, $2 = output prefix
     '{"id":7,"verb":"evaluate","params":{"code":"BGC","length":8},"exec":{"seed":11,"mc_samples":300}}' \
     '{"id":8,"verb":"yield","params":{"code":"TC","length":6},"exec":{"seed":11,"mc_samples":300,"fault_plan":"seed=2009;pool.chunk:crash:p=0.3:max=10"}}' \
     '{"id":9,"verb":"yield","params":{"code":"TC","length":6},"exec":{"seed":11,"mc_samples":300}}' \
+    '{"id":10,"verb":"evaluate","params":{"code":"BGC","length":8},"exec":{"seed":11,"mc_samples":300,"timeout":60}}' \
     > "$2.numeric"
   "$NANODEC" client --socket "$SOCK" '{"verb":"shutdown"}' > /dev/null
   wait "$pid"
@@ -43,8 +47,9 @@ run_battery() { # $1 = domains, $2 = output prefix
 run_battery 1 "$OUT-d1"
 run_battery 4 "$OUT-d4"
 
-echo "diff: stable battery vs committed golden"
-diff -u "$GOLDEN" "$OUT-d1.stable"
+echo "diff: stable battery + numeric response heads vs committed golden"
+{ cat "$OUT-d1.stable"; sed 's/,"result":.*//' "$OUT-d1.numeric"; } \
+  | diff -u "$GOLDEN" -
 echo "diff: stable battery, 1 vs 4 domains"
 diff -u "$OUT-d1.stable" "$OUT-d4.stable"
 echo "diff: numeric battery, 1 vs 4 domains"
@@ -56,6 +61,12 @@ grep -q '"id":7,"status":"ok","verb":"evaluate","cached":true' "$OUT-d1.numeric"
 cold=$(sed -n '1p' "$OUT-d1.numeric" | sed 's/"id":6/"id":7/; s/"cached":false/"cached":true/')
 warm=$(sed -n '2p' "$OUT-d1.numeric")
 [ "$cold" = "$warm" ]
+
+echo "check: a deadline-bearing repeat is a cache hit with the cold bytes"
+grep -q '"id":10,"status":"ok","verb":"evaluate","cached":true' "$OUT-d1.numeric"
+cold=$(sed -n '1p' "$OUT-d1.numeric" | sed 's/"id":6/"id":10/; s/"cached":false/"cached":true/')
+timed=$(sed -n '5p' "$OUT-d1.numeric")
+[ "$cold" = "$timed" ]
 
 echo "check: chaos plan recovers the exact uninjected bytes"
 chaos=$(sed -n '3p' "$OUT-d1.numeric" | sed 's/"id":8/"id":9/')

@@ -214,6 +214,56 @@ let test_single_flight_failure_reaches_every_waiter () =
   Alcotest.(check (pair (array int) bool)) "the next call rebuilds" ([| 7 |], false)
     (v, hit)
 
+(* A timeout is the builder's own deadline: the builder gets it, but
+   its waiters look the key up again instead of inheriting it.  The
+   first waiter back rebuilds, the rest wait on that rebuild, so the
+   whole race costs two builds and every waiter gets the rebuilt
+   value; the timed-out flight leaves nothing behind. *)
+let test_single_flight_timeout_waiters_retry () =
+  let n = 4 in
+  let cache = Artifact_cache.create ~capacity:4 () in
+  let builds = Atomic.make 0 in
+  let started = gate () and release = gate () in
+  let build () =
+    if Atomic.fetch_and_add builds 1 = 0 then begin
+      gate_open started;
+      gate_wait release;
+      Nanodec_error.fail
+        (Nanodec_error.Timeout { site = "test.build"; seconds = Some 1e-6 })
+    end
+    else [| Atomic.get builds |]
+  in
+  let outcomes = race ~n cache build ~started ~release in
+  Alcotest.(check int) "the timed-out build and one rebuild" 2
+    (Atomic.get builds);
+  (match outcomes.(0) with
+  | Error (Nanodec_error.Error (Nanodec_error.Timeout _)) -> ()
+  | Error e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "the timed-out builder got a value");
+  let waiters = Array.sub outcomes 1 (n - 1) in
+  Array.iter
+    (function
+      | Ok (v, _) ->
+        Alcotest.(check (array int)) "every waiter gets the rebuilt value"
+          [| 2 |] v
+      | Error e ->
+        Alcotest.failf "a waiter inherited %s" (Printexc.to_string e))
+    waiters;
+  let rebuilt =
+    Array.fold_left
+      (fun acc o -> match o with Ok (_, false) -> acc + 1 | _ -> acc)
+      0 waiters
+  in
+  Alcotest.(check int) "exactly one waiter rebuilt" 1 rebuilt;
+  let s = Artifact_cache.stats cache in
+  Alcotest.(check (pair int int)) "stats: n - 2 hits, two misses" (n - 2, 2)
+    (s.Artifact_cache.hits, s.Artifact_cache.misses);
+  Alcotest.(check (list string)) "only the rebuild is stored" [ "k" ]
+    (Artifact_cache.keys cache);
+  Alcotest.(check (pair (array int) bool)) "the stored value is the rebuild"
+    ([| 2 |], true)
+    (Artifact_cache.find_or_build cache ~key:"k" (fun () -> [| 0 |]))
+
 let test_disabled_cache_builds_every_call () =
   let n = 4 in
   let cache = Artifact_cache.create ~enabled:false ~capacity:4 () in
@@ -638,6 +688,8 @@ let suite =
       test_single_flight_one_build;
     Alcotest.test_case "single-flight: failure reaches every waiter" `Quick
       test_single_flight_failure_reaches_every_waiter;
+    Alcotest.test_case "single-flight: waiters retry after a timeout" `Quick
+      test_single_flight_timeout_waiters_retry;
     Alcotest.test_case "disabled cache builds on every call" `Quick
       test_disabled_cache_builds_every_call;
     Alcotest.test_case "single-flight is per key" `Quick

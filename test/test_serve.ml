@@ -406,7 +406,14 @@ let test_fuzz_battery () =
   Alcotest.(check bool) "daemon survives the fuzz battery" true
     (bool_member "pong" (expect_ok (ask state {|{"verb":"ping"}|})))
 
+(* The timed-out build stores nothing: the same request without a
+   deadline is then a cold build with the bytes a fresh daemon
+   returns. *)
 let test_timeout_mapping () =
+  let line =
+    {|{"verb":"yield","params":{"code":"BGC","length":10},"exec":{"mc_samples":50000}}|}
+  in
+  let fresh = with_state @@ fun state -> Json.to_string (expect_ok (ask state line)) in
   with_state @@ fun state ->
   let r =
     ask state
@@ -414,7 +421,36 @@ let test_timeout_mapping () =
   in
   expect_error ~kind:"timeout" ~exit_code:3 r;
   Alcotest.(check bool) "shared pool still serves after the timeout" true
-    (bool_member "pong" (expect_ok (ask state {|{"verb":"ping"}|})))
+    (bool_member "pong" (expect_ok (ask state {|{"verb":"ping"}|})));
+  let r = ask state line in
+  Alcotest.(check bool) "the timed-out estimate was not stored" false
+    (bool_member "cached" r);
+  Alcotest.(check string) "the retry returns fresh-daemon bytes" fresh
+    (Json.to_string (expect_ok r))
+
+(* A deadline that is met changes nothing about the result, so a
+   deadline-bearing request shares the result cache both ways round:
+   it hits what a plain request built, and a plain request hits what
+   it built. *)
+let test_deadline_shares_the_cache () =
+  let plain =
+    {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":5,"mc_samples":300}}|}
+  and timed =
+    {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":5,"mc_samples":300,"timeout":60}}|}
+  in
+  List.iter
+    (fun (order, first, second) ->
+      with_state @@ fun state ->
+      let r1 = ask state first in
+      let r2 = ask state second in
+      Alcotest.(check bool) (order ^ ": first is cold") false
+        (bool_member "cached" r1);
+      Alcotest.(check bool) (order ^ ": second is cached") true
+        (bool_member "cached" r2);
+      Alcotest.(check string) (order ^ ": byte-identical results")
+        (Json.to_string (expect_ok r1))
+        (Json.to_string (expect_ok r2)))
+    [ ("plain then deadline", plain, timed); ("deadline then plain", timed, plain) ]
 
 let test_no_degrade_mapping () =
   with_state @@ fun state ->
@@ -592,6 +628,56 @@ let raw_connect address =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX path);
     fd
+
+(* One write far larger than a socket read: the lines straddle read
+   boundaries, yet every one is answered, in arrival order, with the
+   bytes a serial [handle_line] run gives.  Each line is unique, so no
+   response depends on which worker reached the cache first.  A line
+   sent afterwards in two short writes then lands in a read buffer
+   still holding the big write's newlines; only the bytes actually
+   read may count. *)
+let test_pipelined_write_over_64k () =
+  let pad = String.make 900 'p' in
+  let lines =
+    List.init 96 (fun i ->
+        if i mod 8 = 0 then
+          Printf.sprintf
+            {|{"id":%d,"verb":"evaluate","params":{"code":"%s","length":%d},"pad":"%s"}|}
+            i
+            (if i mod 16 = 0 then "TC" else "BGC")
+            (4 + (i / 16))
+            pad
+        else Printf.sprintf {|{"id":%d,"verb":"ping","pad":"%s"}|} i pad)
+  in
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  Alcotest.(check bool) "payload exceeds one 64 KiB read" true
+    (String.length payload > 65536);
+  let split = ({|{"id":"split","verb":|}, {|"ping"}|}) in
+  let serial, serial_split =
+    with_state @@ fun state ->
+    let serial = List.map (Protocol.handle_line state) lines in
+    (serial, Protocol.handle_line state (fst split ^ snd split))
+  in
+  serve_in_thread ~max_queue:256 (`Tcp 0) @@ fun address ->
+  let fd = raw_connect address in
+  let writer =
+    Thread.create
+      (fun () -> ignore (Unix.write_substring fd payload 0 (String.length payload)))
+      ()
+  in
+  let ic = Unix.in_channel_of_descr fd in
+  let answered = List.map (fun _ -> input_line ic) lines in
+  Thread.join writer;
+  Alcotest.(check (list string)) "arrival order, serial bytes" serial answered;
+  let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  send (fst split);
+  Thread.delay 0.05;
+  send (snd split ^ "\n");
+  Alcotest.(check string) "a line split over two reads" serial_split
+    (input_line ic);
+  Unix.close fd;
+  Client.with_connection address @@ fun conn ->
+  ignore (Client.request conn {|{"verb":"shutdown"}|})
 
 let test_overload_sheds_deterministically () =
   (* Capacity max_inflight + max_queue = 2.  The injected stall parks
@@ -927,6 +1013,8 @@ let suite =
     Alcotest.test_case "protocol fuzz battery" `Quick test_fuzz_battery;
     Alcotest.test_case "timeout maps to kind=timeout" `Quick
       test_timeout_mapping;
+    Alcotest.test_case "deadline requests share the result cache" `Quick
+      test_deadline_shares_the_cache;
     Alcotest.test_case "no-degrade maps to kind=degraded" `Quick
       test_no_degrade_mapping;
     Alcotest.test_case "unix socket end to end" `Quick
@@ -938,6 +1026,8 @@ let suite =
       test_oversized_line_resync;
     Alcotest.test_case "partial line at EOF dropped" `Quick
       test_partial_line_eof_dropped;
+    Alcotest.test_case "pipelined write over 64 KiB, serial bytes" `Quick
+      test_pipelined_write_over_64k;
     Alcotest.test_case "overload sheds deterministically" `Quick
       test_overload_sheds_deterministically;
     Alcotest.test_case "serve.dispatch fault classified, daemon survives"
