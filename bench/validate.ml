@@ -36,7 +36,7 @@ let () =
         Cave.analyze
           { Cave.default_config with Cave.code_type; code_length }
       in
-      let window = Cave.mc_yield_window (Rng.split rng) ~samples analysis in
+      let window = Cave.mc_yield_window_par (Rng.split rng) ~samples analysis in
       let unique =
         Cave.mc_yield_functional (Rng.split rng) ~samples analysis
       in

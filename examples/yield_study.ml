@@ -66,7 +66,7 @@ let () =
         Cave.analyze
           { Cave.default_config with Cave.code_type = ct; code_length = m }
       in
-      let mc = Cave.mc_yield_window (Rng.split rng) ~samples:300 analysis in
+      let mc = Cave.mc_yield_window_par (Rng.split rng) ~samples:300 analysis in
       let functional =
         Cave.mc_yield_functional (Rng.split rng) ~samples:300 analysis
       in

@@ -216,12 +216,6 @@ let mc_yield_window_reference ?ctx rng ~samples analysis =
   Montecarlo.estimate_par ?ctx rng ~samples
     (mc_window_draw analysis ~passes ~w)
 
-let mc_yield_window ?spec rng ~samples analysis =
-  let kernel = kernel_of_analysis analysis in
-  match spec with
-  | None -> Montecarlo.estimate rng ~samples (Kernel.draw kernel)
-  | Some spec -> Montecarlo.run spec rng (Kernel.target kernel)
-
 let mc_yield_functional rng ~samples analysis =
   let passes = passes_of_analysis analysis in
   let levels = levels_of_config analysis.config in

@@ -75,16 +75,6 @@ val kernel_of_analysis : analysis -> Kernel.t
     window into a {!Kernel.t}.  Pure and reusable: compile once, then
     share the kernel across any number of estimates and domains. *)
 
-val mc_yield_window :
-  ?spec:Montecarlo.spec -> Rng.t -> samples:int -> analysis ->
-  Montecarlo.estimate
-(** Monte-Carlo re-estimate of the analytic yield by sampling fabrication
-    noise through the process simulator and applying the window test.
-    Runs on the compiled {!Kernel}.  Without [?spec], the plain
-    single-stream sequential estimator; with one, [Montecarlo.run] on
-    the kernel's full {!Kernel.target} ([samples] is then ignored in
-    favour of the spec's stopping rule). *)
-
 val mc_yield_functional :
   Rng.t -> samples:int -> analysis -> Montecarlo.estimate
 (** Monte-Carlo yield under the full electrical semantics: a wire counts
@@ -98,15 +88,15 @@ val mc_yield_window_par :
   samples:int ->
   analysis ->
   Montecarlo.estimate
-(** Chunked window-yield estimate on {!Montecarlo.run}, running the
-    compiled {!Kernel}: the result is bit-for-bit identical for every
-    chunking, batch size and domain count (including [pool = None])
-    {e and} — on the plain strategy — to {!mc_yield_window_reference}
-    of the same arguments, though it differs from the single-stream
-    {!mc_yield_window} of the same seed.  All shared state (the
-    compiled pass program) is computed once before the fan-out, never
-    per chunk; chunk bodies only read it, drawing into domain-local
-    workspace scratch.
+(** Monte-Carlo re-estimate of the analytic yield by sampling
+    fabrication noise through the process simulator and applying the
+    window test, on {!Montecarlo.run} over the compiled {!Kernel}: the
+    result is bit-for-bit identical for every chunking, batch size and
+    domain count (including no context or no pool) {e and} — on the
+    plain strategy — to {!mc_yield_window_reference} of the same
+    arguments.  All shared state (the compiled pass program) is
+    computed once before the fan-out, never per chunk; chunk bodies
+    only read it, drawing into domain-local workspace scratch.
 
     The sampling configuration resolves in order: an explicit [?spec]
     wins; otherwise the context's [mc_method]/[rel_error] knobs build

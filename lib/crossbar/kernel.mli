@@ -1,6 +1,6 @@
 (** Compiled Monte-Carlo yield kernels.
 
-    {!Cave.mc_yield_window}'s reference draw allocates an N×M noise
+    {!Cave.mc_yield_window_reference}'s draw allocates an N×M noise
     matrix and re-walks the pass/mask lists for every sample.  A kernel
     pre-compiles all of that, once, into a flat {e pass program}:
 

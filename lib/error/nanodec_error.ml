@@ -50,8 +50,8 @@ let pp ppf t =
         detail
   | Degraded { site; reason } ->
     Format.fprintf ppf
-      "[%s] %s was poisoned and degradation is disabled: %s" (label t) site
-      reason
+      "[%s] %s ran out of retries and degradation is disabled: %s"
+      (label t) site reason
   | Overloaded { site; pending; limit } ->
     Format.fprintf ppf
       "[%s] %s shed the request: %d already pending (limit %d) — retry \

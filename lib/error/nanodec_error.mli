@@ -16,9 +16,9 @@
        work died and the supervisor could not (or was not allowed to)
        recover it.  [injected] distinguishes faults planted by the
        fault-injection engine from organic crashes.}
-    {- {!Degraded} (exit {!exit_degraded}) — the pool was poisoned and
-       degradation to sequential execution was disabled, so the run
-       refused to continue.}
+    {- {!Degraded} (exit {!exit_degraded}) — a job's chunk ran out of
+       retries and degradation to sequential execution was disabled, so
+       the run refused to continue.}
     {- {!Overloaded} (exit {!exit_overloaded}) — the daemon's admission
        control shed the request because its bounded work queue was
        full.  The work was never started; retry after a drain.}

@@ -237,7 +237,7 @@ let plan t = t.p
 let set_telemetry t sink = t.sink <- sink
 
 (* Per-domain suppression flag: the degraded sequential pass runs with
-   injection off so a poisoned run can still complete. *)
+   injection off so a degraded job can still complete. *)
 let suppression_key = Domain.DLS.new_key (fun () -> false)
 let suppressed () = Domain.DLS.get suppression_key
 

@@ -122,7 +122,7 @@ val hit : t option -> ?key:int -> string -> unit
 val without_faults : (unit -> 'a) -> 'a
 (** Run [f] with injection suppressed on the calling domain — the
     degraded-execution escape hatch: a sequential fallback pass runs
-    under [without_faults] so a poisoned run can still complete. *)
+    under [without_faults] so a degraded job can still complete. *)
 
 val suppressed : unit -> bool
 (** Whether the calling domain is currently inside {!without_faults}. *)

@@ -91,9 +91,10 @@ let until_rel_error ?(min_samples = default_min_samples)
 let spec ?(strategy = Plain) stopping = { strategy; stopping }
 
 let spec_of_ctx ?ctx ~samples () =
-  let strategy = Run_ctx.mc_method_of ctx in
+  let ctx = Run_ctx.resolve ?ctx () in
+  let strategy = Run_ctx.mc_method ctx in
   let stopping =
-    match Run_ctx.rel_error_of ctx with
+    match Run_ctx.rel_error ctx with
     | None -> Fixed_samples samples
     | Some rel_error ->
       (* [samples] becomes the adaptive cap: --mc-samples N --rel-error R
@@ -228,18 +229,20 @@ let chunk_lo ~samples ~chunks i =
    [pool.autotune.*] — fixed plans are the caller's decision, not the
    tuner's.  The context's [batch] overrides the plan's batch either
    way. *)
-let resolve_plan ?ctx ~pool ~samples () =
-  let tel = Run_ctx.telemetry_of ctx in
+let resolve_plan ~ctx ~samples =
+  let tel = Run_ctx.telemetry ctx in
   let plan =
-    match Run_ctx.chunking_of ctx with
+    match Run_ctx.chunking ctx with
     | Run_ctx.Fixed c -> { Autotune.chunks = c; batch = 1; per_sample_ns = None }
     | Run_ctx.Auto ->
-      let domains = match pool with Some p -> Pool.domains p | None -> 1 in
+      let domains =
+        match Run_ctx.pool ctx with Some p -> Pool.domains p | None -> 1
+      in
       let plan = Autotune.plan ?telemetry:tel ~domains ~samples () in
       Autotune.record tel plan;
       plan
   in
-  match Run_ctx.batch_of ctx with
+  match Run_ctx.batch ctx with
   | Some b -> { plan with Autotune.batch = b }
   | None -> plan
 
@@ -247,11 +250,9 @@ let resolve_plan ?ctx ~pool ~samples () =
    each chunk into [mc.chunk_s], probe the [mc.sample_batch] fault site
    per chunk, count the samples and record the round's rate.  [body i]
    fills the sample slots of chunk [i] and must be restartable. *)
-let run_chunks ?ctx ~pool ~chunks ~batch ~samples body =
-  let tel = Run_ctx.telemetry_of ctx in
-  let fault = Run_ctx.fault_of ctx in
-  let timeout_s = Option.bind ctx Run_ctx.timeout_s in
-  let cancel = Option.bind ctx Run_ctx.cancel in
+let run_chunks ~ctx ~chunks ~batch ~samples body =
+  let tel = Run_ctx.telemetry ctx in
+  let fault = Run_ctx.fault ctx in
   let body =
     match fault with
     | None -> body
@@ -274,22 +275,7 @@ let run_chunks ?ctx ~pool ~chunks ~batch ~samples body =
   in
   Telemetry.with_span tel "mc.estimate_par" @@ fun () ->
   let t0 = match tel with Some s -> Telemetry.now s | None -> 0. in
-  (match pool with
-  | Some pool -> Pool.parallel_for ?timeout_s ?cancel ~batch pool ~chunks body
-  | None ->
-    (* Pool-less runs still recover from injected crashes: bounded
-       in-place retries, then one suppressed re-execution.  Chunk
-       bodies are restartable, so results match the uninjected run. *)
-    for i = 0 to chunks - 1 do
-      let rec attempt k =
-        match body i with
-        | () -> ()
-        | exception Fault.Injected _ when k < 2 -> attempt (k + 1)
-        | exception Fault.Injected _ ->
-          Fault.without_faults (fun () -> body i)
-      in
-      attempt 0
-    done);
+  Run_ctx.parallel_for ~batch ctx ~chunks body;
   match tel with
   | Some sink ->
     Telemetry.count tel "mc.samples" samples;
@@ -377,11 +363,11 @@ let converged ~rel_error acc =
 
 let run ?ctx s rng target =
   validate_spec "Montecarlo.run" s;
-  let pool = Run_ctx.pool_of ctx in
+  let ctx = Run_ctx.resolve ?ctx () in
   let eval = evaluator s target in
   let acc = make_acc s.strategy in
   let run_round ~base streams round_n =
-    let plan = resolve_plan ?ctx ~pool ~samples:round_n () in
+    let plan = resolve_plan ~ctx ~samples:round_n in
     let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
     let values = Array.make round_n 0. in
     let body i =
@@ -398,7 +384,7 @@ let run ?ctx s rng target =
         values.(s) <- eval ~index:(base + s) g
       done
     in
-    run_chunks ?ctx ~pool ~chunks ~batch ~samples:round_n body;
+    run_chunks ~ctx ~chunks ~batch ~samples:round_n body;
     merge_round acc ~base values
   in
   (match s.stopping with
@@ -448,8 +434,7 @@ let estimate_proportion_par ?ctx rng ~samples f =
   if samples < 2 then
     invalid_arg "Montecarlo.estimate_proportion_par: need >= 2 samples";
   let ctx = Run_ctx.resolve ?ctx () in
-  let pool = Run_ctx.pool ctx in
-  let plan = resolve_plan ~ctx ~pool ~samples () in
+  let plan = resolve_plan ~ctx ~samples in
   let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
   let streams = Rng.split_n rng samples in
   let hits = Bytes.make samples '\000' in
@@ -461,7 +446,7 @@ let estimate_proportion_par ?ctx rng ~samples f =
       Bytes.unsafe_set hits s (if f g then '\001' else '\000')
     done
   in
-  run_chunks ~ctx ~pool ~chunks ~batch ~samples body;
+  run_chunks ~ctx ~chunks ~batch ~samples body;
   let count = ref 0 in
   Bytes.iter (fun c -> if c <> '\000' then incr count) hits;
   let n = float_of_int samples in

@@ -18,10 +18,13 @@
    Supervision (deadlines, cancellation tokens, injected-crash retries,
    degradation to sequential) is cooperative: it acts only at chunk
    boundaries (checked inside the batch loop, so a deadline can expire
-   mid-batch), because a running domain cannot be preempted.  All of it
-   leaves successful results bit-for-bit identical to an unsupervised
-   run — recovery re-executes restartable chunk bodies, never reorders
-   the fan-in.
+   mid-batch), because a running domain cannot be preempted.  Its
+   policy — fault engine, degrade, warn, deadline, token — belongs to
+   the job, never to the pool, so jobs with different policies share
+   one pool and no job's outcome changes how the next one runs.  All
+   of it leaves successful results bit-for-bit identical to an
+   unsupervised run — recovery re-executes restartable chunk bodies,
+   never reorders the fan-in.
 
    Telemetry is strictly an observer: probes time and count the
    scheduler's decisions but never influence them, so an instrumented
@@ -63,6 +66,7 @@ type job = {
   chunks : int;
   batch : int;  (* chunk indices claimed per atomic fetch-and-add *)
   body : int -> unit;
+  fault : Fault.t option;  (* probed at the [pool.chunk] site *)
   submitted : float;  (* sink-relative submit time; 0 with no telemetry *)
   timeout_s : float option;
   deadline : float option;  (* absolute, Unix.gettimeofday base *)
@@ -94,11 +98,6 @@ type t = {
   mutable stop : bool;
   mutable workers : unit Domain.t array;
   mutable tele : tele option;
-  mutable fault : Fault.t option;
-  max_retries : int;  (* per chunk, against injected crashes *)
-  degrade : bool;  (* sequential fallback instead of failing Degraded *)
-  warn : bool;  (* announce degradation on stderr (off in chaos harnesses) *)
-  mutable degraded : bool;  (* poisoned: all further jobs run inline *)
   mutable warned : bool;  (* the one-time stderr degradation warning *)
   inline_nested : int Atomic.t;
       (* nested/busy submissions run inline; counted even with no sink *)
@@ -107,6 +106,7 @@ type t = {
 }
 
 let max_domains = 64
+let max_retries = 2  (* per chunk, against injected crashes *)
 let site = "pool.job"
 
 let parse_domains s =
@@ -133,7 +133,6 @@ let domains t = t.n_domains
 
 let inline_submissions t = Atomic.get t.inline_nested
 let retries t = Atomic.get t.retries_n
-let degraded t = t.degraded
 let degraded_jobs t = Atomic.get t.degraded_jobs_n
 
 let tele_of_sink sink =
@@ -157,9 +156,6 @@ let set_telemetry t sink = t.tele <- Option.map tele_of_sink sink
 
 let telemetry t = Option.map (fun tl -> tl.sink) t.tele
 
-let set_fault t fault = t.fault <- fault
-let fault t = t.fault
-
 let timeout_error timeout_s =
   E.Error (E.Timeout { site; seconds = Some timeout_s })
 
@@ -171,14 +167,14 @@ let cancel_error = E.Error (E.Timeout { site; seconds = None })
    deterministic stream decides when the fault clears.  Organic
    exceptions are reported immediately: retrying real bugs only hides
    them. *)
-let run_chunk_guarded t body i =
+let run_chunk_guarded t ~fault body i =
   let rec attempt k =
     match
-      Fault.hit t.fault ~key:i "pool.chunk";
+      Fault.hit fault ~key:i "pool.chunk";
       body i
     with
     | () -> None
-    | exception Fault.Injected _ when k < t.max_retries ->
+    | exception Fault.Injected _ when k < max_retries ->
       Atomic.incr t.retries_n;
       (match t.tele with Some tl -> Telemetry.incr tl.c_retries | None -> ());
       Unix.sleepf (0.001 *. float_of_int (1 lsl k));
@@ -187,15 +183,18 @@ let run_chunk_guarded t body i =
   in
   attempt 0
 
-(* Mark the pool poisoned (warn once) and count one degraded job. *)
-let note_degraded t =
-  if t.warn && not t.warned then begin
+(* A job's chunk exhausted its retries on injected crash [e]: fail
+   with [Degraded], or count one degraded job (warning once per pool)
+   so the caller finishes the job with injection suppressed. *)
+let degrade_job t ~degrade ~warn e =
+  if not degrade then
+    E.fail (E.Degraded { site = "pool.chunk"; reason = Printexc.to_string e });
+  if warn && not t.warned then begin
     t.warned <- true;
     Printf.eprintf
-      "nanodec: warning: pool poisoned by injected faults; degrading to \
-       sequential execution\n%!"
+      "nanodec: warning: injected faults exhausted a job's retries; \
+       finishing it sequentially\n%!"
   end;
-  t.degraded <- true;
   Atomic.incr t.degraded_jobs_n;
   match t.tele with Some tl -> Telemetry.incr tl.c_degraded | None -> ()
 
@@ -261,7 +260,7 @@ let rec work_on t ~on_worker j =
       while !failure = None && !i < hi && not (Atomic.get j.abandon) do
         check_supervision t j;
         if not (Atomic.get j.abandon) then begin
-          (match run_chunk_guarded t j.body !i with
+          (match run_chunk_guarded t ~fault:j.fault j.body !i with
           | None -> ()
           | Some (e, bt) -> failure := Some (!i, e, bt));
           incr i
@@ -320,14 +319,11 @@ let worker_loop t =
   in
   loop ()
 
-let create ?domains ?telemetry ?fault ?(max_retries = 2) ?(degrade = true)
-    ?(warn = true) () =
+let create ?domains ?telemetry () =
   let requested =
     match domains with Some d -> d | None -> default_domains ()
   in
   if requested < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  if max_retries < 0 then
-    invalid_arg "Pool.create: max_retries must be >= 0";
   let n = min requested max_domains in
   let t =
     {
@@ -339,11 +335,6 @@ let create ?domains ?telemetry ?fault ?(max_retries = 2) ?(degrade = true)
       stop = false;
       workers = [||];
       tele = Option.map tele_of_sink telemetry;
-      fault;
-      max_retries;
-      degrade;
-      warn;
-      degraded = false;
       warned = false;
       inline_nested = Atomic.make 0;
       retries_n = Atomic.make 0;
@@ -364,60 +355,57 @@ let shutdown t =
     t.workers <- [||]
   end
 
-let with_pool ?domains ?telemetry ?fault ?max_retries ?degrade ?warn f =
-  let t = create ?domains ?telemetry ?fault ?max_retries ?degrade ?warn () in
+let with_pool ?domains ?telemetry f =
+  let t = create ?domains ?telemetry () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Boundary check of the sequential paths (inline loops, [None] pools):
-   same cooperative semantics as the fanned-out claim loop, raised
-   directly since there is no join to drain. *)
-let check_boundary ?deadline ?timeout_s ?cancel count_trip =
+(* Boundary check of the sequential executor: same cooperative
+   semantics as the fanned-out claim loop, raised directly since there
+   is no join to drain. *)
+let check_boundary t ?deadline ?timeout_s ?cancel () =
   (match cancel with
   | Some c when Cancel.is_cancelled c ->
-    count_trip ();
+    count_timeout t;
     raise cancel_error
   | Some _ | None -> ());
   match deadline, timeout_s with
   | Some d, Some s when Unix.gettimeofday () > d ->
-    count_trip ();
+    count_timeout t;
     raise (timeout_error s)
   | _ -> ()
 
-(* The sequential executor: used for 1-domain pools, single-task and
-   nested/busy submissions, degraded pools, and the degradation re-run
-   itself ([suppress] then turns injection off).  Retries injected
-   crashes like the parallel path; on exhaustion it degrades just that
-   chunk (one suppressed re-execution) rather than failing the run —
-   unless the pool opted out of degradation. *)
-let run_inline ?timeout_s ?cancel ?(suppress = false) t ~chunks body =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
-  let run_one i =
-    check_boundary ?deadline ?timeout_s ?cancel (fun () -> count_timeout t);
-    match run_chunk_guarded t body i with
-    | None -> ()
-    | Some ((Fault.Injected _ as e), _) ->
-      if t.degrade then begin
-        note_degraded t;
-        Fault.without_faults (fun () -> body i)
-      end
-      else
-        E.fail
-          (E.Degraded { site = "pool.chunk"; reason = Printexc.to_string e })
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  in
-  if suppress then
-    Fault.without_faults (fun () ->
-        for i = 0 to chunks - 1 do
-          check_boundary ?deadline ?timeout_s ?cancel (fun () ->
-              count_timeout t);
-          body i
-        done)
-  else
-    for i = 0 to chunks - 1 do
-      run_one i
-    done
+(* The end of a degraded job: chunks [from ..] in order with injection
+   suppressed.  Chunk bodies are restartable, so the re-execution
+   reproduces the uninjected results exactly. *)
+let finish_suppressed ~check ~from ~chunks body =
+  Fault.without_faults (fun () ->
+      for i = from to chunks - 1 do
+        check ();
+        body i
+      done)
 
-let parallel_for ?timeout_s ?cancel ?(batch = 1) t ~chunks body =
+(* The sequential executor: used for 1-domain pools, single-claim and
+   nested/busy submissions, and pool-less jobs ({!sequential_for}).
+   Retries injected crashes like the parallel path; once a chunk runs
+   out of retries the job degrades from that chunk on, or fails. *)
+let run_inline ?timeout_s ?cancel ?fault ~degrade ~warn t ~chunks body =
+  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
+  let check = check_boundary t ?deadline ?timeout_s ?cancel in
+  let rec from i =
+    if i < chunks then begin
+      check ();
+      match run_chunk_guarded t ~fault body i with
+      | None -> from (i + 1)
+      | Some ((Fault.Injected _ as e), _) ->
+        degrade_job t ~degrade ~warn e;
+        finish_suppressed ~check ~from:i ~chunks body
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    end
+  in
+  from 0
+
+let parallel_for ?timeout_s ?cancel ?fault ?(degrade = true) ?(warn = true)
+    ?(batch = 1) t ~chunks body =
   if chunks < 0 then invalid_arg "Pool.parallel_for: negative chunk count";
   if batch < 1 then invalid_arg "Pool.parallel_for: batch must be >= 1";
   (match timeout_s with
@@ -429,11 +417,14 @@ let parallel_for ?timeout_s ?cancel ?(batch = 1) t ~chunks body =
        domain would do all the work anyway — run it inline and skip
        the fan-out machinery. *)
     let tasks = (chunks + batch - 1) / batch in
-    if Array.length t.workers = 0 || tasks = 1 || t.degraded then
+    let inline () =
+      run_inline ?timeout_s ?cancel ?fault ~degrade ~warn t ~chunks body
+    in
+    if Array.length t.workers = 0 || tasks = 1 then
       if t.stop then invalid_arg "Pool: used after shutdown"
       else begin
         (match t.tele with Some tl -> Telemetry.incr tl.c_jobs_seq | None -> ());
-        run_inline ?timeout_s ?cancel t ~chunks body
+        inline ()
       end
     else begin
       Mutex.lock t.mutex;
@@ -446,7 +437,6 @@ let parallel_for ?timeout_s ?cancel ?(batch = 1) t ~chunks body =
            Run it inline — identical results, no deadlock. *)
         Mutex.unlock t.mutex;
         Atomic.incr t.inline_nested;
-        let inline () = run_inline ?timeout_s ?cancel t ~chunks body in
         match t.tele with
         | Some tl ->
           Telemetry.incr tl.c_jobs_inline;
@@ -464,6 +454,7 @@ let parallel_for ?timeout_s ?cancel ?(batch = 1) t ~chunks body =
             chunks;
             batch;
             body;
+            fault;
             submitted;
             timeout_s;
             deadline =
@@ -495,21 +486,23 @@ let parallel_for ?timeout_s ?cancel ?(batch = 1) t ~chunks body =
         match j.error with
         | None -> ()
         | Some (_, (Fault.Injected _ as e), _) ->
-          if t.degrade then begin
-            (* Poisoned: complete the job sequentially with injection
-               suppressed.  Chunk bodies are restartable, so the
-               re-execution reproduces the uninjected results exactly. *)
-            note_degraded t;
-            run_inline ?cancel ~suppress:true t ~chunks body
-          end
-          else
-            E.fail
-              (E.Degraded
-                 { site = "pool.chunk"; reason = Printexc.to_string e })
+          (* Only this job degrades: it re-runs sequentially under its
+             own deadline; the next job fans out on the full pool. *)
+          degrade_job t ~degrade ~warn e;
+          finish_suppressed
+            ~check:(check_boundary t ?deadline:j.deadline ?timeout_s ?cancel)
+            ~from:0 ~chunks body
         | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
       end
     end
   end
+
+(* Pool-less jobs run on a worker-less pool shared by the process: the
+   same sequential executor, with nothing to spawn or join. *)
+let detached = create ~domains:1 ()
+
+let sequential_for ?timeout_s ?cancel ?fault ?degrade ?warn ~chunks body =
+  parallel_for ?timeout_s ?cancel ?fault ?degrade ?warn detached ~chunks body
 
 let map ?timeout_s ?cancel ?batch t f xs =
   let n = Array.length xs in
@@ -523,19 +516,6 @@ let map ?timeout_s ?cancel ?batch t f xs =
 
 let map_list ?timeout_s ?cancel ?batch t f xs =
   Array.to_list (map ?timeout_s ?cancel ?batch t f (Array.of_list xs))
-
-let map_list_opt ?timeout_s ?cancel ?batch pool f xs =
-  match pool with
-  | Some t -> map_list ?timeout_s ?cancel ?batch t f xs
-  | None ->
-    let deadline =
-      Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s
-    in
-    List.map
-      (fun x ->
-        check_boundary ?deadline ?timeout_s ?cancel (fun () -> ());
-        f x)
-      xs
 
 let map_reduce ?timeout_s ?cancel ?batch t ~map:f ~reduce ~init xs =
   Array.fold_left reduce init (map ?timeout_s ?cancel ?batch t f xs)

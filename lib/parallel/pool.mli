@@ -35,7 +35,10 @@
     {2 Supervision}
 
     The pool is the recovery layer of the fault-injection story
-    ({!Nanodec_fault.Fault}):
+    ({!Nanodec_fault.Fault}).  The policy is per job — the arguments
+    [?timeout_s ?cancel ?fault ?degrade ?warn] of {!parallel_for} —
+    never pool state, so jobs with different policies share one pool
+    and no job changes how the next one runs:
 
     {ul
     {- {e Deadlines}: [parallel_for ~timeout_s] gives the job a
@@ -48,19 +51,23 @@
     {- {e Cancellation}: a {!Cancel.t} token, checked at the same
        boundaries; a cancelled job raises
        [Nanodec_error.Error (Timeout {seconds = None; _})].}
-    {- {e Retry}: a chunk that dies of {!Nanodec_fault.Fault.Injected}
-       (a transient injected crash) is retried in place, up to
-       [max_retries] times with exponential backoff; each attempt gets
-       a fresh deterministic fault decision.  Organic exceptions are
-       never retried.}
-    {- {e Degradation}: when retries are exhausted the pool is
-       considered poisoned: it warns once on stderr, marks itself
-       {!degraded}, and re-runs the job sequentially with injection
-       suppressed, so the run still completes with bit-identical
-       results (chunk bodies must be restartable — all of this
-       library's are).  Subsequent jobs on a degraded pool run
-       sequentially too.  With [degrade = false] the pool instead
-       raises [Nanodec_error.Error (Degraded _)].}}
+    {- {e Retry}: the job's [fault] engine is probed at the
+       [pool.chunk] site (keyed by chunk index) before each chunk
+       body.  A chunk that dies of {!Nanodec_fault.Fault.Injected} (a
+       transient injected crash) is retried in place, up to 2 times
+       with exponential backoff; each attempt gets a fresh
+       deterministic fault decision.  Organic exceptions are never
+       retried.}
+    {- {e Degradation}: when a chunk runs out of retries the job
+       degrades: it finishes sequentially with injection suppressed
+       (a fanned-out job re-runs whole, a sequential one continues
+       from the failed chunk), so it still completes with
+       bit-identical results (chunk bodies must be restartable — all
+       of this library's are).  The next job starts on the full pool
+       again.  The first degradation on a pool is announced on stderr
+       unless the job passes [~warn:false] (chaos harnesses that
+       inject faults on purpose do).  With [~degrade:false] the job
+       instead raises [Nanodec_error.Error (Degraded _)].}}
 
     Injected crashes therefore never fail a pool-managed computation;
     only timeouts, cancellations, organic exceptions and (with
@@ -101,24 +108,11 @@ val default_domains : unit -> int
     [Domain.recommended_domain_count ()]. *)
 
 val create :
-  ?domains:int ->
-  ?telemetry:Nanodec_telemetry.Telemetry.sink ->
-  ?fault:Nanodec_fault.Fault.t ->
-  ?max_retries:int ->
-  ?degrade:bool ->
-  ?warn:bool ->
-  unit ->
-  t
+  ?domains:int -> ?telemetry:Nanodec_telemetry.Telemetry.sink -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] worker domains
     ([domains] defaults to {!default_domains}; clamped to at most 64).
-    [telemetry] attaches a sink from the start; [fault] an injection
-    engine (evaluated at the [pool.chunk] site, keyed by chunk index).
-    [max_retries] (default 2) bounds retries of injected crashes per
-    chunk; [degrade] (default [true]) selects sequential fallback over
-    failing with [Degraded] when retries are exhausted; [warn]
-    (default [true]) announces the first degradation on stderr — chaos
-    harnesses that inject faults on purpose pass [~warn:false].
-    Raises [Invalid_argument] if [domains < 1]. *)
+    [telemetry] attaches a sink from the start.  Raises
+    [Invalid_argument] if [domains < 1]. *)
 
 val domains : t -> int
 (** Total domains working a job, including the submitter. *)
@@ -129,15 +123,6 @@ val set_telemetry : t -> Nanodec_telemetry.Telemetry.sink option -> unit
 
 val telemetry : t -> Nanodec_telemetry.Telemetry.sink option
 (** The currently attached sink, if any. *)
-
-val set_fault : t -> Nanodec_fault.Fault.t option -> unit
-(** Attach or detach the fault engine.  Call between jobs. *)
-
-val fault : t -> Nanodec_fault.Fault.t option
-
-val degraded : t -> bool
-(** Whether the pool has poisoned itself and fallen back to sequential
-    execution. *)
 
 val degraded_jobs : t -> int
 (** Jobs completed through the sequential degradation path. *)
@@ -160,10 +145,6 @@ val shutdown : t -> unit
 val with_pool :
   ?domains:int ->
   ?telemetry:Nanodec_telemetry.Telemetry.sink ->
-  ?fault:Nanodec_fault.Fault.t ->
-  ?max_retries:int ->
-  ?degrade:bool ->
-  ?warn:bool ->
   (t -> 'a) ->
   'a
 (** [with_pool f] runs [f] on a fresh pool and shuts it down on exit,
@@ -172,6 +153,9 @@ val with_pool :
 val parallel_for :
   ?timeout_s:float ->
   ?cancel:Cancel.t ->
+  ?fault:Nanodec_fault.Fault.t ->
+  ?degrade:bool ->
+  ?warn:bool ->
   ?batch:int ->
   t ->
   chunks:int ->
@@ -185,7 +169,27 @@ val parallel_for :
     amounts to a single claim (ceil(chunks / batch) = 1) runs inline on
     the submitter, counted under [pool.jobs.sequential].  [batch] never
     affects results, only scheduling.  [timeout_s] must be positive
-    when given. *)
+    when given.  The supervision policy is this job's alone: [fault]
+    (default none), [degrade] (default [true]: finish sequentially
+    rather than fail [Degraded] once a chunk runs out of retries) and
+    [warn] (default [true]: announce the pool's first degradation on
+    stderr). *)
+
+val sequential_for :
+  ?timeout_s:float ->
+  ?cancel:Cancel.t ->
+  ?fault:Nanodec_fault.Fault.t ->
+  ?degrade:bool ->
+  ?warn:bool ->
+  chunks:int ->
+  (int -> unit) ->
+  unit
+(** {!parallel_for} without a pool of the caller's: the job runs in
+    order on the calling domain through the sequential executor a
+    1-domain pool uses, with the same deadline, cancellation, retry and
+    degradation semantics.  The executor belongs to a worker-less pool
+    shared by the process, so its degradation warning fires at most
+    once per process and its counters are not observable. *)
 
 val map :
   ?timeout_s:float -> ?cancel:Cancel.t -> ?batch:int -> t -> ('a -> 'b) ->
@@ -197,13 +201,6 @@ val map_list :
   ?timeout_s:float -> ?cancel:Cancel.t -> ?batch:int -> t -> ('a -> 'b) ->
   'a list -> 'b list
 (** [map] over a list, preserving order. *)
-
-val map_list_opt :
-  ?timeout_s:float -> ?cancel:Cancel.t -> ?batch:int -> t option ->
-  ('a -> 'b) -> 'a list -> 'b list
-(** [map_list] through an optional pool; [None] is [List.map] (with the
-    same deadline/cancellation checks between elements).  The
-    convenience spelling used by the sweep/figure pipelines. *)
 
 val map_reduce :
   ?timeout_s:float ->

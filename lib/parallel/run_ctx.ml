@@ -15,6 +15,8 @@ type t = {
   mc_samples : int;
   telemetry : Telemetry.sink option;
   fault : Fault.t option;
+  degrade : bool;
+  warn : bool;
   timeout_s : float option;
   cancel : Pool.Cancel.t option;
   chunking : chunking;
@@ -46,8 +48,8 @@ let check_mc_knobs ~who ~mc_method ~rel_error ~batch =
 
 let make ?domains ?pool ?(seed = default_seed)
     ?(mc_samples = default_mc_samples) ?telemetry ?fault ?timeout_s ?cancel
-    ?(chunking = Auto) ?batch ?(mc_method = Plain) ?rel_error ?max_retries
-    ?degrade ?warn () =
+    ?(chunking = Auto) ?batch ?(mc_method = Plain) ?rel_error
+    ?(degrade = true) ?(warn = true) () =
   if mc_samples < 0 then invalid_arg "Run_ctx.make: mc_samples must be >= 0";
   (match timeout_s with
   | Some s when s <= 0. ->
@@ -77,15 +79,8 @@ let make ?domains ?pool ?(seed = default_seed)
       (match telemetry with
       | Some _ -> Pool.set_telemetry p telemetry
       | None -> ());
-      (match fault with
-      | Some _ -> Pool.set_fault p fault
-      | None -> ());
       (Some p, false)
-    | None, Some d ->
-      ( Some
-          (Pool.create ~domains:d ?telemetry ?fault ?max_retries ?degrade
-             ?warn ()),
-        true )
+    | None, Some d -> (Some (Pool.create ~domains:d ?telemetry ()), true)
     | None, None -> (None, false)
   in
   {
@@ -94,6 +89,8 @@ let make ?domains ?pool ?(seed = default_seed)
     mc_samples;
     telemetry;
     fault;
+    degrade;
+    warn;
     timeout_s;
     cancel;
     chunking;
@@ -106,12 +103,10 @@ let make ?domains ?pool ?(seed = default_seed)
 let shutdown t = if t.owns_pool then Option.iter Pool.shutdown t.pool
 
 let with_ctx ?domains ?pool ?seed ?mc_samples ?telemetry ?fault ?timeout_s
-    ?cancel ?chunking ?batch ?mc_method ?rel_error ?max_retries ?degrade ?warn
-    f =
+    ?cancel ?chunking ?batch ?mc_method ?rel_error ?degrade ?warn f =
   let t =
     make ?domains ?pool ?seed ?mc_samples ?telemetry ?fault ?timeout_s
-      ?cancel ?chunking ?batch ?mc_method ?rel_error ?max_retries ?degrade
-      ?warn ()
+      ?cancel ?chunking ?batch ?mc_method ?rel_error ?degrade ?warn ()
   in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
@@ -127,19 +122,24 @@ let batch t = t.batch
 let mc_method t = t.mc_method
 let rel_error t = t.rel_error
 
-let pool_of = function None -> None | Some t -> t.pool
-let telemetry_of = function None -> None | Some t -> t.telemetry
-let fault_of = function None -> None | Some t -> t.fault
-let chunking_of = function None -> Auto | Some t -> t.chunking
-let batch_of = function None -> None | Some t -> t.batch
-let mc_method_of = function None -> Plain | Some t -> t.mc_method
-let rel_error_of = function None -> None | Some t -> t.rel_error
+let parallel_for ?batch t ~chunks body =
+  let { timeout_s; cancel; fault; degrade; warn; _ } = t in
+  match t.pool with
+  | Some p ->
+    Pool.parallel_for ?timeout_s ?cancel ?fault ~degrade ~warn ?batch p
+      ~chunks body
+  | None ->
+    Pool.sequential_for ?timeout_s ?cancel ?fault ~degrade ~warn ~chunks body
 
 let map_list t f xs =
-  Pool.map_list_opt ?timeout_s:t.timeout_s ?cancel:t.cancel t.pool f xs
+  let xs = Array.of_list xs in
+  let out = Array.make (Array.length xs) None in
+  parallel_for t ~chunks:(Array.length xs) (fun i ->
+      out.(i) <- Some (f xs.(i)));
+  Array.to_list (Array.map Option.get out)
 
 let with_request ~base ?seed ?mc_samples ?timeout_s ?fault ?chunking
-    ?mc_method ?rel_error ?(degrade = true) ?(warn = true) f =
+    ?mc_method ?rel_error ?degrade ?warn f =
   let seed = Option.value seed ~default:base.seed in
   let mc_samples = Option.value mc_samples ~default:base.mc_samples in
   let chunking = Option.value chunking ~default:base.chunking in
@@ -164,47 +164,45 @@ let with_request ~base ?seed ?mc_samples ?timeout_s ?fault ?chunking
   | Fixed _ | Auto -> ());
   check_mc_knobs ~who:"Run_ctx.with_request" ~mc_method ~rel_error
     ~batch:base.batch;
-  match fault, degrade with
-  | None, true ->
-    (* The common shape: borrow the base context's pool and sink
-       untouched — nothing is mutated on the shared pool, so any number
-       of requests can derive from one base without interfering. *)
-    f
-      {
-        base with
-        seed;
-        mc_samples;
-        timeout_s;
-        chunking;
-        mc_method;
-        rel_error;
-        owns_pool = false;
-      }
-  | _ ->
-    (* A request-specific fault plan (or a fail-closed degrade policy)
-       must never touch the shared pool: an exhausted retry budget
-       poisons a pool permanently, and [Pool.set_fault] has no restore
-       discipline.  Such requests get a private pool of the same width,
-       joined before the reply; results are bit-for-bit identical by
-       the pool's determinism contract. *)
-    let domains = match base.pool with Some p -> Pool.domains p | None -> 1 in
-    with_ctx ~domains ~seed ~mc_samples ?telemetry:base.telemetry ?fault
-      ?timeout_s ~chunking ?batch:base.batch ~mc_method ?rel_error ~degrade
-      ~warn f
+  (* Every request borrows the base pool: the fault engine and the
+     degrade policy travel with each job, so nothing on the shared pool
+     changes and any number of requests can derive from one base. *)
+  let fault =
+    match fault with
+    | Some f as fault ->
+      (match base.telemetry with
+      | Some _ -> Fault.set_telemetry f base.telemetry
+      | None -> ());
+      fault
+    | None -> base.fault
+  in
+  f
+    {
+      base with
+      seed;
+      mc_samples;
+      fault;
+      degrade = Option.value degrade ~default:base.degrade;
+      warn = Option.value warn ~default:base.warn;
+      timeout_s;
+      chunking;
+      mc_method;
+      rel_error;
+      owns_pool = false;
+    }
 
-let resolve ?ctx ?pool () =
+let resolve ?ctx () =
   match ctx with
-  | Some c -> (
-    match c.pool, pool with
-    | None, Some _ -> { c with pool; owns_pool = false }
-    | _ -> c)
+  | Some c -> c
   | None ->
     {
-      pool;
+      pool = None;
       seed = default_seed;
       mc_samples = default_mc_samples;
       telemetry = None;
       fault = None;
+      degrade = true;
+      warn = true;
       timeout_s = None;
       cancel = None;
       chunking = Auto;

@@ -2,10 +2,11 @@
 
     [Run_ctx.t] bundles what used to travel as scattered optional
     arguments — the domain pool, the Monte-Carlo seed and sample count,
-    the telemetry sink, and (new with the robustness layer) the fault
-    engine, job deadline and cancellation token — into one value built
-    once (usually from the CLI flags) and threaded through sweeps,
-    figures, scaling, ablations and Monte-Carlo estimators alike:
+    the telemetry sink, and the supervision policy (fault engine,
+    degrade and warn flags, job deadline, cancellation token) — into
+    one value built once (usually from the CLI flags) and threaded
+    through sweeps, figures, scaling, ablations and Monte-Carlo
+    estimators alike:
 
     {[
       Run_ctx.with_ctx ~domains:4 ~telemetry:sink (fun ctx ->
@@ -17,6 +18,12 @@
     deadlines and fault plans are observability/robustness knobs only,
     and every consumer is bit-for-bit invariant in them for runs that
     complete successfully.
+
+    Every job goes through {!parallel_for}: the context hands its
+    supervision policy to the pool with each job (never installs it on
+    the pool), and a context without a pool runs the job through the
+    pool's sequential executor, so deadlines, cancellation, retries
+    and the degrade policy act the same with or without a pool.
 
     {2 Chaos boundary}
 
@@ -81,7 +88,6 @@ val make :
   ?batch:int ->
   ?mc_method:mc_method ->
   ?rel_error:float ->
-  ?max_retries:int ->
   ?degrade:bool ->
   ?warn:bool ->
   unit ->
@@ -91,13 +97,14 @@ val make :
     (the caller keeps shutdown duty) — passing both raises
     [Invalid_argument], passing neither leaves the context sequential.
     When both a pool and a sink are given, the sink is attached to the
-    pool so scheduler probes land in it; likewise the fault engine.
-    [fault] defaults to the [NANODEC_FAULT_PLAN] environment plan when
-    that is set (raising [Nanodec_error.Error (Invalid_input _)] on a
-    malformed value).  [timeout_s] (strictly positive) and [cancel] are
-    handed to every pool fan-out made through this context.
-    [max_retries] and [degrade] configure the spawned pool's
-    supervision policy (borrowed pools keep their own settings).
+    pool so scheduler probes land in it.  [fault] defaults to the
+    [NANODEC_FAULT_PLAN] environment plan when that is set (raising
+    [Nanodec_error.Error (Invalid_input _)] on a malformed value).
+    [fault], [timeout_s] (strictly positive), [cancel], [degrade]
+    (default [true]) and [warn] (default [true]) are handed to every
+    job run through this context, owned pool or borrowed (see
+    {!Pool.parallel_for}); the borrowed pool itself is left as it
+    was.
     [chunking] (default [Auto]) selects the estimators' scheduling
     policy and [batch] (>= 1) overrides the per-claim batch size of
     every estimator fan-out; [Fixed n] with [n < 1] or [batch < 1]
@@ -122,7 +129,6 @@ val with_ctx :
   ?batch:int ->
   ?mc_method:mc_method ->
   ?rel_error:float ->
-  ?max_retries:int ->
   ?degrade:bool ->
   ?warn:bool ->
   (t -> 'a) ->
@@ -148,28 +154,16 @@ val batch : t -> int option
 val mc_method : t -> mc_method
 val rel_error : t -> float option
 
-val pool_of : t option -> Pool.t option
-(** [pool_of ctx] through an optional context — the spelling used by
-    [?ctx] consumers. *)
-
-val telemetry_of : t option -> Nanodec_telemetry.Telemetry.sink option
-val fault_of : t option -> Nanodec_fault.Fault.t option
-
-val chunking_of : t option -> chunking
-(** [Auto] without a context. *)
-
-val batch_of : t option -> int option
-
-val mc_method_of : t option -> mc_method
-(** {!Plain} without a context. *)
-
-val rel_error_of : t option -> float option
+val parallel_for : ?batch:int -> t -> chunks:int -> (int -> unit) -> unit
+(** [parallel_for ctx ~chunks body] is {!Pool.parallel_for} on the
+    context's pool, or {!Pool.sequential_for} without one, with the
+    context's fault engine, degrade and warn flags, deadline and
+    cancellation token as the job's supervision policy. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list ctx f xs] maps through the context's pool (or
-    sequentially without one), threading the context's deadline and
-    cancellation token into the fan-out.  The one-liner the sweep,
-    figure, scaling and ablation pipelines use. *)
+(** [map_list ctx f xs] is [List.map f xs] run as one {!parallel_for}
+    job.  The one-liner the sweep, figure, scaling and ablation
+    pipelines use. *)
 
 val with_request :
   base:t ->
@@ -187,31 +181,21 @@ val with_request :
 (** Per-request context derivation — the serve daemon's workhorse.
     [with_request ~base ?seed ... f] runs [f] under a context that
     overrides the given knobs and inherits everything else (pool,
-    telemetry sink, cancellation) from [base].  Two regimes:
-
-    {ul
-    {- without a request fault plan and with [degrade] left [true]
-       (the default), the derived context {e borrows} the base pool
-       without mutating it — any number of requests can derive from one
-       base concurrently;}
-    {- a request carrying [?fault] or [~degrade:false] gets a {e
-       private} pool of the same domain width, joined before
-       [with_request] returns: an exhausted retry budget poisons a pool
-       permanently, so request-scoped chaos must never touch the shared
-       one.  Results are bit-for-bit identical either way by the pool
-       determinism contract.}}
+    telemetry sink, cancellation) from [base].  [fault], [degrade] and
+    [warn] default to the base context's.  The derived context always
+    borrows the base pool and changes nothing on it — the fault engine
+    and the degrade policy are per-job arguments — so any number of
+    requests, with or without their own fault plans, can derive from
+    one base concurrently, and no request spawns domains.  A request
+    [fault] engine is attached to the base context's telemetry sink,
+    like {!make} does.
 
     Unlike {!make}, the [NANODEC_FAULT_PLAN] environment boundary is
-    {e not} re-read for the borrow path — the base context already
-    resolved it; the private-pool path re-enters {!make} and therefore
-    honours it, matching what a standalone run of the request would
-    see.  Raises [Invalid_argument] on a non-positive [timeout_s],
-    negative [mc_samples] or [Fixed n < 1], like {!make}. *)
+    not re-read: the base context already resolved it.  Raises
+    [Invalid_argument] on a non-positive [timeout_s], negative
+    [mc_samples] or [Fixed n < 1], like {!make}. *)
 
-val resolve : ?ctx:t -> ?pool:Pool.t -> unit -> t
-(** Back-compatibility shim for entry points that still accept the
-    deprecated [?pool] argument next to [?ctx]: the context wins, a
-    bare pool is wrapped into a default context, and when the context
-    has no pool of its own the bare pool fills the slot.  Note the
-    environment fault plan does {e not} activate here — only {!make}
-    reads it. *)
+val resolve : ?ctx:t -> unit -> t
+(** [resolve ?ctx ()] is [ctx], or a default pool-less context without
+    one — the spelling used by [?ctx] consumers.  The environment fault
+    plan does {e not} activate here — only {!make} reads it. *)

@@ -517,9 +517,9 @@ let fault_probes_inert =
 (* Injected crashes are recovered (retry, then degraded sequential
    re-execution), and a recovered run computes exactly the bits the
    uninjected run does — the tentpole guarantee of the robustness
-   layer.  [~warn:false]: this oracle degrades pools on purpose,
+   layer.  [~warn:false]: this oracle degrades jobs on purpose,
    hundreds of times per run — the stderr announcement is for users
-   whose pool got poisoned unexpectedly, not for the chaos harness. *)
+   whose jobs degrade unexpectedly, not for the chaos harness. *)
 let fault_injection_transparency =
   Property.make
     ~name:"Recovered fault-injected runs equal the uninjected run"

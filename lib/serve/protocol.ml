@@ -208,11 +208,15 @@ let exec_of_json json =
    deadline bounds only the work the request runs itself. *)
 let bypasses_result_cache exec = exec.fault <> None || exec.no_degrade
 
+(* A request's own fault plan is chaos on purpose, so its degradation
+   stays off stderr; otherwise the daemon's degrade/warn policy holds. *)
 let with_request_ctx state exec f =
   Run_ctx.with_request ~base:state.base ?seed:exec.seed
     ?mc_samples:exec.mc_samples ?timeout_s:exec.timeout_s ?fault:exec.fault
     ?chunking:exec.chunking ?mc_method:exec.mc_method ?rel_error:exec.rel_error
-    ~degrade:(not exec.no_degrade) ~warn:false f
+    ?degrade:(if exec.no_degrade then Some false else None)
+    ?warn:(if exec.fault <> None then Some false else None)
+    f
 
 (* --- design parameters --- *)
 

@@ -253,7 +253,7 @@ let test_mc_window_agrees_with_analytic () =
       let a =
         Cave.analyze { config with Cave.n_wires = 12; code_type; code_length }
       in
-      let e = Cave.mc_yield_window (Rng.split rng) ~samples:400 a in
+      let e = Cave.mc_yield_window_par (Rng.split rng) ~samples:400 a in
       let slack = 6. *. e.Montecarlo.std_error in
       if
         a.Cave.yield < e.Montecarlo.mean -. slack
@@ -275,7 +275,7 @@ let test_mc_functional_close_to_window () =
      a few points (the window test is the paper's conservative proxy). *)
   let a = Cave.analyze { config with Cave.n_wires = 12; code_length = 8 } in
   let rng = Rng.create ~seed:11 in
-  let w = Cave.mc_yield_window rng ~samples:200 a in
+  let w = Cave.mc_yield_window_par rng ~samples:200 a in
   let f = Cave.mc_yield_functional rng ~samples:200 a in
   Alcotest.(check bool) "within 10 points" true
     (Float.abs (w.Montecarlo.mean -. f.Montecarlo.mean) < 0.10)

@@ -2,10 +2,11 @@
 
    The contract under test, end to end: a deterministic fault plan
    crashes/delays/stalls work at the named sites; the supervised pool
-   retries injected crashes and degrades to sequential execution when
-   they persist; every run that completes — injected or not — computes
-   bit-for-bit the same results; and every failure that does surface is
-   a structured [Nanodec_error.t] with a stable exit code. *)
+   retries injected crashes and degrades the job to sequential
+   execution when they persist; every run that completes — injected or
+   not — computes bit-for-bit the same results; and every failure that
+   does surface is a structured [Nanodec_error.t] with a stable exit
+   code. *)
 
 open Nanodec_numerics
 open Nanodec_parallel
@@ -134,20 +135,28 @@ let test_crash_first_and_last_chunk () =
     [ 0; 7 ]
 
 let test_crash_everywhere_degrades () =
-  (* p=1, no budget: every attempt of every chunk dies; the pool must
+  (* p=1, no budget: every attempt of every chunk dies; the job must
      degrade and still produce the baseline bits. *)
   let f = engine "pool.chunk:crash:p=1" in
-  Run_ctx.with_ctx ~domains:4 ~fault:f (fun ctx ->
+  let sink = Nanodec_telemetry.Telemetry.create () in
+  let fanned_out () =
+    Nanodec_telemetry.Telemetry.(counter_value (counter sink "pool.jobs"))
+  in
+  Run_ctx.with_ctx ~domains:4 ~telemetry:sink ~fault:f (fun ctx ->
       check_equals_baseline "degraded run" (estimate ~ctx ());
       match Run_ctx.pool ctx with
       | None -> Alcotest.fail "expected a pool"
       | Some pool ->
-        Alcotest.(check bool) "pool degraded" true (Pool.degraded pool);
-        Alcotest.(check bool) "degraded jobs counted" true
-          (Pool.degraded_jobs pool >= 1);
+        Alcotest.(check int) "one degraded job" 1 (Pool.degraded_jobs pool);
         Alcotest.(check bool) "retries counted" true (Pool.retries pool > 0);
-        (* A degraded pool keeps completing work (sequentially). *)
-        check_equals_baseline "post-degradation job" (estimate ~ctx ()))
+        (* Degradation is the job's, not the pool's: the next job fans
+           out on the full pool again. *)
+        let before = fanned_out () in
+        Pool.parallel_for pool ~chunks:8 ignore;
+        Alcotest.(check int) "next job fans out" (before + 1) (fanned_out ());
+        check_equals_baseline "post-degradation job" (estimate ~ctx ());
+        Alcotest.(check int) "that job degrades on its own" 2
+          (Pool.degraded_jobs pool))
 
 let test_no_degrade_fails_closed () =
   (* [with_ctx ~degrade:false] plumbing, fanned and inline paths. *)
@@ -178,11 +187,77 @@ let test_delay_is_transparent () =
   Alcotest.(check bool) "some delays fired" true (Fault.total_fired f > 0)
 
 let test_poolless_ctx_recovers () =
-  (* No pool in the context at all: the Monte-Carlo fallback path does
-     its own bounded retries and suppressed re-execution. *)
+  (* No pool in the context at all: the job runs through the pool's
+     sequential executor, with its bounded retries and suppressed
+     re-execution. *)
   let f = engine "mc.sample_batch:crash:p=1" in
   let e = Run_ctx.with_ctx ~fault:f (fun ctx -> estimate ~ctx ()) in
   check_equals_baseline "pool-less recovery" e
+
+let test_poolless_no_degrade_fails_closed () =
+  (* The degrade policy binds pool-less contexts too: with it off, an
+     exhausted retry budget raises instead of degrading silently. *)
+  match
+    Run_ctx.with_ctx ~degrade:false ~fault:(engine "mc.sample_batch:crash:p=1")
+      (fun ctx ->
+        Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples:400
+          (fun rng -> Rng.gaussian rng +. Rng.float rng))
+  with
+  | _ -> Alcotest.fail "expected Degraded"
+  | exception E.Error (E.Degraded { site; _ }) ->
+    Alcotest.(check string) "site" "pool.chunk" site
+
+let test_poolless_timeout () =
+  (* A pool-less context enforces its deadline at chunk boundaries like
+     a 1-domain pool: 500 samples of 1 ms each stop well short of the
+     0.5 s they would take. *)
+  let t0 = Unix.gettimeofday () in
+  match
+    Run_ctx.with_ctx ~timeout_s:0.05 (fun ctx ->
+        Montecarlo.run ~ctx
+          (Montecarlo.spec (Montecarlo.fixed 500))
+          (Rng.create ~seed:1)
+          (Montecarlo.target (fun _ ->
+               Unix.sleepf 0.001;
+               1.)))
+  with
+  | _ -> Alcotest.fail "expected Timeout"
+  | exception E.Error (E.Timeout { seconds = Some s; _ }) ->
+    Alcotest.(check (float 1e-9)) "deadline surfaced" 0.05 s;
+    Alcotest.(check bool) "stopped early" true
+      (Unix.gettimeofday () -. t0 < 0.4)
+
+let test_request_faults_share_the_pool () =
+  (* Request-scoped fault plans and degrade policies travel with the
+     jobs: every derivation borrows the base pool, and none of them
+     changes what the base pool computes afterwards. *)
+  Run_ctx.with_ctx ~domains:4 (fun base ->
+      let pool = Run_ctx.pool base in
+      let squares = Array.init 4 (fun i -> i * i) in
+      for i = 0 to 999 do
+        let plan =
+          match i mod 4 with
+          | 0 | 1 -> Printf.sprintf "seed=%d;pool.chunk:crash:p=1" i
+          | 2 -> Printf.sprintf "seed=%d;pool.chunk:delay=1ms:p=0.05" i
+          | _ -> Printf.sprintf "seed=%d;pool.chunk:crash:p=0.5:max=1" i
+        in
+        let degrade = i mod 4 <> 1 in
+        Run_ctx.with_request ~base ~fault:(engine plan) ~degrade ~warn:false
+          (fun ctx ->
+            if not (Run_ctx.pool ctx == pool) then
+              Alcotest.failf "derivation %d left the base pool" i;
+            let out = Array.make 4 0 in
+            match
+              Run_ctx.parallel_for ctx ~chunks:4 (fun k -> out.(k) <- k * k)
+            with
+            | () when degrade ->
+              if out <> squares then
+                Alcotest.failf "derivation %d: wrong slots" i
+            | () -> Alcotest.failf "derivation %d: expected Degraded" i
+            | exception E.Error (E.Degraded _) when not degrade -> ())
+      done;
+      check_equals_baseline "base pool after 1000 derivations"
+        (estimate ~ctx:base ()))
 
 (* --- deadlines and cancellation --- *)
 
@@ -230,9 +305,9 @@ let test_cancellation () =
 let test_organic_exceptions_not_retried () =
   (* Real bugs must not be retried or degraded away, even with an
      engine installed. *)
-  Pool.with_pool ~domains:4 ~fault:(engine "seed=2009") (fun pool ->
+  Pool.with_pool ~domains:4 (fun pool ->
       match
-        Pool.parallel_for pool ~chunks:8 (fun i ->
+        Pool.parallel_for ~fault:(engine "seed=2009") pool ~chunks:8 (fun i ->
             if i = 3 then failwith "organic")
       with
       | () -> Alcotest.fail "expected Failure"
@@ -377,6 +452,12 @@ let suite =
       test_delay_is_transparent;
     Alcotest.test_case "pool-less contexts recover too" `Quick
       test_poolless_ctx_recovers;
+    Alcotest.test_case "pool-less no-degrade fails closed" `Quick
+      test_poolless_no_degrade_fails_closed;
+    Alcotest.test_case "pool-less contexts honour the deadline" `Quick
+      test_poolless_timeout;
+    Alcotest.test_case "request fault plans share the base pool" `Quick
+      test_request_faults_share_the_pool;
     Alcotest.test_case "deadline expiry raises Timeout" `Quick
       test_timeout_mid_job;
     Alcotest.test_case "injected stall trips the deadline" `Quick

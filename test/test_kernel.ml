@@ -80,11 +80,12 @@ let test_kernel_equals_reference_under_faults () =
     [ 1; 4 ]
 
 let test_sequential_kernel_path () =
-  (* mc_yield_window now runs the kernel on the single-stream estimator;
-     drawing through the kernel by hand must reproduce it exactly. *)
+  (* Without a context mc_yield_window_par runs the kernel on the plain
+     estimator; drawing through the kernel by hand must reproduce it
+     exactly. *)
   let a = analysis_of Codebook.Tree 8 in
   let k = Cave.kernel_of_analysis a in
-  let direct = Cave.mc_yield_window (Rng.create ~seed:5) ~samples:150 a in
+  let direct = Cave.mc_yield_window_par (Rng.create ~seed:5) ~samples:150 a in
   let manual =
     Montecarlo.estimate (Rng.create ~seed:5) ~samples:150 (Kernel.draw k)
   in

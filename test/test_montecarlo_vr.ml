@@ -335,7 +335,7 @@ let test_ctx_carries_spec () =
       Montecarlo.spec ~strategy:(Montecarlo.Importance 1.0)
         (Montecarlo.fixed 300)
     in
-    Cave.mc_yield_window ~spec (Rng.create ~seed:9) ~samples:300 a
+    Cave.mc_yield_window_par ~spec (Rng.create ~seed:9) ~samples:300 a
   in
   Run_ctx.with_ctx ~domains:2 ~mc_method:(Run_ctx.Importance 1.0) ~warn:false
     (fun ctx ->

@@ -464,8 +464,8 @@ let test_no_degrade_mapping () =
   in
   expect_error ~kind:"degraded" ~exit_code:5 r;
   (* With degradation allowed the same chaos plan must recover to the
-     exact uninjected result — on a private pool, leaving the shared
-     one untouched. *)
+     exact uninjected result — on the shared pool, whose next jobs run
+     as if no request had injected anything. *)
   let recovered =
     ask state
       {|{"verb":"yield","params":{"code":"TC","length":6},"exec":{"seed":9,"mc_samples":200,"fault_plan":"seed=1;pool.chunk:crash:p=0.4:max=20"}}|}
@@ -477,7 +477,7 @@ let test_no_degrade_mapping () =
     ask state
       {|{"verb":"yield","params":{"code":"TC","length":6},"exec":{"seed":9,"mc_samples":200}}|}
   in
-  Alcotest.(check string) "shared pool unpoisoned, result unchanged"
+  Alcotest.(check string) "shared pool unaffected, result unchanged"
     (Json.to_string (member "result" baseline))
     (Json.to_string (member "result" after))
 
@@ -896,7 +896,7 @@ let soak_requests =
     [ 1; 2; 3; 4 ]
   @ [
       (* An active fault plan bypasses the result cache, so all eight
-         clients execute this concurrently on private pools.  Injected
+         clients execute this concurrently on the shared pool.  Injected
          delays are byte-neutral by the transparency contract but
          scramble chunk completion timing — the hardest regime for the
          server's arrival-order response writer, which must keep the

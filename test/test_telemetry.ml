@@ -335,24 +335,10 @@ let test_run_ctx_validation () =
       ignore (Run_ctx.make ~mc_samples:(-1) ()))
 
 let test_run_ctx_resolve () =
-  (* Bare pool, no ctx: wrapped into a default context. *)
-  Pool.with_pool ~domains:2 (fun pool ->
-      let r = Run_ctx.resolve ~pool () in
-      Alcotest.(check bool) "pool adopted" true (is_same pool (Run_ctx.pool r));
-      Alcotest.(check int) "default seed" Run_ctx.default_seed (Run_ctx.seed r);
-      (* ctx with its own pool wins over the bare pool. *)
-      Run_ctx.with_ctx ~domains:2 ~seed:5 (fun ctx ->
-          let ctx_pool = Option.get (Run_ctx.pool ctx) in
-          let r = Run_ctx.resolve ~ctx ~pool () in
-          Alcotest.(check bool) "ctx pool wins" true
-            (is_same ctx_pool (Run_ctx.pool r));
-          Alcotest.(check int) "ctx fields kept" 5 (Run_ctx.seed r));
-      (* ctx without a pool adopts the bare pool, keeping its fields. *)
-      let ctx = Run_ctx.make ~seed:9 () in
-      let r = Run_ctx.resolve ~ctx ~pool () in
-      Alcotest.(check bool) "bare pool fills empty slot" true
-        (is_same pool (Run_ctx.pool r));
-      Alcotest.(check int) "ctx fields kept" 9 (Run_ctx.seed r));
+  (* A given ctx wins: it comes back unchanged. *)
+  Run_ctx.with_ctx ~domains:2 ~seed:5 (fun ctx ->
+      Alcotest.(check bool) "ctx returned as is" true
+        (Run_ctx.resolve ~ctx () == ctx));
   let r = Run_ctx.resolve () in
   Alcotest.(check bool) "nothing given: sequential default" true
     (Run_ctx.pool r = None)
