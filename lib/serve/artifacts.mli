@@ -20,31 +20,57 @@ open Nanodec_numerics
 open Nanodec_crossbar
 open Nanodec
 
-(** The artifact kinds the daemon amortizes. *)
+(** The artifact kinds the daemon amortizes.
+
+    Two sorts.  The intermediate kinds ([Nu], [Analysis], [Kernel])
+    are typed values that other builders consume.  The final kinds
+    ([Report], [Estimate], [Sweep], [Words]) are consumed only by
+    responses, so they hold the response's rendered [result] fragment:
+    the canonical {!Json.to_string} bytes of one JSON object, rendered
+    once inside the builder.  A hit splices those bytes into the
+    response instead of rendering again.  The fragment contract: a
+    fragment is exactly the bytes [Json.to_string] gives for its
+    object (so it re-renders to itself after [Json.parse]), contains no
+    newline, and is a pure function of its key. *)
 type value =
-  | Words of Word.t list  (** a code family's word sequence *)
   | Nu of Imatrix.t  (** ν matrix of a pattern *)
   | Analysis of Cave.analysis
   | Kernel of Kernel.t  (** compiled Monte-Carlo pass program *)
-  | Report of Design.report  (** full closed-form design report *)
-  | Estimate of Montecarlo.estimate
-      (** MC window-yield estimate of (config, seed, samples) *)
-  | Sweep of Design.report list
-      (** the full candidate grid of one platform spec *)
+  | Report of string  (** {!report_json} of the full closed-form report *)
+  | Estimate of string
+      (** {!estimate_json} of the MC window-yield estimate of (config,
+          seed, samples or spec); the seed and the method tag are part
+          of the key *)
+  | Sweep of string
+      (** [{"rows":[…]}], one {!sweep_row_json} per candidate of the
+          spec's platform grid *)
+  | Words of string
+      (** the [codes] result: [{"code":…,"omega":…,"words":[…]}] *)
 
 type t = value Artifact_cache.t
 
 val snapshot_schema : string
-(** The {!Snapshot} schema tag for caches of {!value} entries — bumped
-    whenever the artifact shapes change, so stale snapshot files load
-    as cold caches rather than as misinterpreted bytes.  Every [value]
-    constructor holds pure data (arrays, floats, lists — no closures),
-    which is what makes the marshalled snapshot well-defined. *)
+(** The {!Snapshot} schema tag for {!snapshot} entries — bumped
+    whenever a fragment kind's key or bytes change shape, so stale
+    snapshot files load as cold caches rather than as misread bytes. *)
 
 val create : ?enabled:bool -> capacity:int -> unit -> t
 
+(** {1 Fragment rendering} *)
+
+val report_json : Design.report -> Json.t
+val sweep_row_json : Design.report -> Json.t
+
+val estimate_json :
+  seed:int -> ?spec:Montecarlo.spec -> Montecarlo.estimate -> Json.t
+(** [?spec] appends the sampling-method tag; requests that picked no
+    method get the legacy shape without it. *)
+
+(** {1 Accessors} *)
+
 val words :
-  t -> radix:int -> length:int -> count:int -> Codebook.t -> Word.t list * bool
+  t -> radix:int -> length:int -> count:int -> Codebook.t -> string * bool
+(** The whole [codes] result fragment. *)
 
 val nu : t -> Nanodec_mspt.Pattern.t -> Imatrix.t * bool
 
@@ -55,7 +81,8 @@ val kernel : t -> Cave.config -> Kernel.t * bool
 (** Builds through the {!analysis} cache
     ([Cave.kernel_of_analysis]). *)
 
-val report : t -> Design.spec -> Design.report * bool
+val report : t -> Design.spec -> string * bool
+(** The {!report_json} fragment of [Design.evaluate spec]. *)
 
 val estimate :
   t ->
@@ -63,13 +90,13 @@ val estimate :
   seed:int ->
   samples:int ->
   Cave.config ->
-  Montecarlo.estimate * bool
-(** [Cave.mc_yield_window_par] through the {!analysis} and {!kernel}
-    caches; the estimate itself is cached keyed by
-    (config, seed, samples) — legitimate because the chunked estimator
-    is bit-for-bit invariant in pool, chunking and domain count.
-    Concurrent requests for one cold estimate share a single build
-    ({!Artifact_cache.find_or_build} is single-flight). *)
+  string * bool
+(** The {!estimate_json} fragment (no method tag) of
+    [Cave.mc_yield_window_par] through the {!analysis} and {!kernel}
+    caches, keyed by (config, seed, samples) — legitimate because the
+    chunked estimator is bit-for-bit invariant in pool, chunking and
+    domain count.  Concurrent requests for one cold estimate share a
+    single build ({!Artifact_cache.find_or_build} is single-flight). *)
 
 val estimate_spec :
   t ->
@@ -77,15 +104,28 @@ val estimate_spec :
   seed:int ->
   spec:Montecarlo.spec ->
   Cave.config ->
-  Montecarlo.estimate * bool
+  string * bool
 (** {!estimate} for requests that picked a sampling strategy or an
-    adaptive stopping rule: keyed by (config, seed,
-    {!Montecarlo.spec_key}) — every strategy/stopping combination is a
-    distinct, equally deterministic estimate, and the injective spec
-    serialization keeps the key space disjoint from the legacy plain
-    keys. *)
+    adaptive stopping rule; its fragment carries the method tag.  Keyed
+    by (config, seed, {!Montecarlo.spec_key}) — every strategy/stopping
+    combination is a distinct, equally deterministic estimate, and the
+    injective spec serialization keeps the key space disjoint from the
+    legacy plain keys. *)
 
-val sweep : t -> Design.spec -> Design.report list * bool
+val sweep : t -> Design.spec -> string * bool
 (** [Optimizer.sweep] of the default candidate grid on the spec's
     platform (sequential — rows are cheap closed forms; the cache, not
     the pool, is the serve path's amortizer here). *)
+
+(** {1 Snapshots} *)
+
+val snapshot : t -> (string * float * string) list
+(** The fragment entries of {!Artifact_cache.dump} — [(key, build-cost
+    seconds, bytes)], least recently used first — for {!Snapshot.save}.
+    Intermediate kinds are left out; after a restart they rebuild on
+    demand. *)
+
+val restore : t -> (string * float * string) list -> (unit, string) result
+(** Warm the cache from {!Snapshot.load} entries.  Every entry must
+    carry a fragment kind's key and a canonical JSON object; otherwise
+    nothing is restored and [Error] names the first offending key. *)

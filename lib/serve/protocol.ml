@@ -262,59 +262,21 @@ let spec_of_params params =
    pure function of the request, which is what makes the CI smoke
    goldens and the concurrent-soak byte-equality test possible. *)
 
-(* [?spec] appends the sampling-method tag only when the request opted
-   into one, so legacy requests keep byte-identical responses (the CI
-   smoke goldens). *)
-let estimate_json ~seed ?spec (e : Montecarlo.estimate) =
-  Json.Obj
-    ([
-       ("mean", Json.Float e.Montecarlo.mean);
-       ("std_error", Json.Float e.Montecarlo.std_error);
-       ("ci95_low", Json.Float e.Montecarlo.ci95_low);
-       ("ci95_high", Json.Float e.Montecarlo.ci95_high);
-       ("samples", Json.Int e.Montecarlo.samples);
-       ("seed", Json.Int seed);
-     ]
-    @
-    match spec with
-    | None -> []
-    | Some s ->
-      [ ("method", Json.String (Montecarlo.strategy_name s.Montecarlo.strategy)) ])
-
-let report_json (r : Design.report) =
-  let spec = r.Design.spec in
-  let cave = spec.Design.cave in
-  Json.Obj
-    [
-      ("code", Json.String (Codebook.name cave.Cave.code_type));
-      ("radix", Json.Int cave.Cave.radix);
-      ("length", Json.Int cave.Cave.code_length);
-      ("wires", Json.Int cave.Cave.n_wires);
-      ("raw_bits", Json.Int spec.Design.raw_bits);
-      ("omega", Json.Int r.Design.omega);
-      ("phi", Json.Int r.Design.phi);
-      ("phi_per_wire", Json.Float r.Design.phi_per_wire);
-      ("sigma_norm1", Json.Float r.Design.sigma_norm1);
-      ("average_nu", Json.Float r.Design.average_nu);
-      ("max_nu", Json.Int r.Design.max_nu);
-      ("pattern_transitions", Json.Int r.Design.pattern_transitions);
-      ("cave_yield", Json.Float r.Design.cave_yield);
-      ("crossbar_yield", Json.Float r.Design.crossbar_yield);
-      ("effective_bits", Json.Float r.Design.effective_bits);
-      ("bit_area", Json.Float r.Design.bit_area);
-      ("area", Json.Float r.Design.area);
-      ("n_pads", Json.Int r.Design.n_pads);
-      ("removed_wires", Json.Int r.Design.removed_wires);
-    ]
-
+(* The ok envelope around a rendered [result] fragment: the same bytes
+   [Json.to_string] gives for the whole object, without rendering the
+   result again. *)
 let ok_response ~id ~verb ~cached result =
-  Json.Obj
+  String.concat ""
     [
-      ("id", id);
-      ("status", Json.String "ok");
-      ("verb", Json.String verb);
-      ("cached", Json.Bool cached);
-      ("result", result);
+      {|{"id":|};
+      Json.to_string id;
+      {|,"status":"ok","verb":|};
+      Json.to_string (Json.String verb);
+      {|,"cached":|};
+      (if cached then "true" else "false");
+      {|,"result":|};
+      result;
+      "}";
     ]
 
 let error_response ~id err =
@@ -364,66 +326,53 @@ let run_estimate state ~exec ~ctx ~samples config =
   if bypasses_result_cache exec then (
     let analysis, _ = Artifacts.analysis state.artifacts config in
     let kernel, _ = Artifacts.kernel state.artifacts config in
-    ( Cave.mc_yield_window_par ~ctx ?spec ~kernel (Rng.create ~seed) ~samples
-        analysis,
+    ( Json.to_string
+        (Artifacts.estimate_json ~seed ?spec
+           (Cave.mc_yield_window_par ~ctx ?spec ~kernel (Rng.create ~seed)
+              ~samples analysis)),
       false ))
   else
     match spec with
     | None -> Artifacts.estimate state.artifacts ~ctx ~seed ~samples config
     | Some spec -> Artifacts.estimate_spec state.artifacts ~ctx ~seed ~spec config
 
+(* The report object with an ["mc"] field appended: the report
+   fragment up to its closing brace, then the estimate fragment. *)
 let run_evaluate state ~exec params =
   let spec = spec_of_params params in
   let report, report_hit = Artifacts.report state.artifacts spec in
   match exec.mc_samples with
-  | None -> (report_json report, report_hit)
+  | None -> (report, report_hit)
   | Some samples ->
     with_request_ctx state exec @@ fun ctx ->
-    let seed = Run_ctx.seed ctx in
-    let config = spec.Design.cave in
-    let estimate, est_hit = run_estimate state ~exec ~ctx ~samples config in
-    ( (match report_json report with
-      | Json.Obj fields ->
-        Json.Obj
-          (fields
-          @ [
-              ( "mc",
-                estimate_json ~seed
-                  ?spec:(request_spec exec ~ctx ~samples)
-                  estimate );
-            ])
-      | other -> other),
+    let estimate, est_hit =
+      run_estimate state ~exec ~ctx ~samples spec.Design.cave
+    in
+    ( String.concat ""
+        [
+          String.sub report 0 (String.length report - 1);
+          {|,"mc":|};
+          estimate;
+          "}";
+        ],
       report_hit && est_hit )
 
 let run_yield state ~exec params =
   let spec = spec_of_params params in
   let samples = Option.value exec.mc_samples ~default:1000 in
   with_request_ctx state exec @@ fun ctx ->
-  let seed = Run_ctx.seed ctx in
   let config = spec.Design.cave in
   let analysis, _ = Artifacts.analysis state.artifacts config in
   let estimate, est_hit = run_estimate state ~exec ~ctx ~samples config in
-  ( Json.Obj
+  ( String.concat ""
       [
-        ("analytic_yield", Json.Float analysis.Cave.yield);
-        ( "mc",
-          estimate_json ~seed ?spec:(request_spec exec ~ctx ~samples) estimate
-        );
+        {|{"analytic_yield":|};
+        Json.to_string (Json.Float analysis.Cave.yield);
+        {|,"mc":|};
+        estimate;
+        "}";
       ],
     est_hit )
-
-let sweep_row_json (r : Design.report) =
-  let cave = r.Design.spec.Design.cave in
-  Json.Obj
-    [
-      ("code", Json.String (Codebook.name cave.Cave.code_type));
-      ("radix", Json.Int cave.Cave.radix);
-      ("length", Json.Int cave.Cave.code_length);
-      ("phi", Json.Int r.Design.phi);
-      ("crossbar_yield", Json.Float r.Design.crossbar_yield);
-      ("effective_bits", Json.Float r.Design.effective_bits);
-      ("bit_area", Json.Float r.Design.bit_area);
-    ]
 
 let run_sweep state params =
   let code_type = code_type_field params in
@@ -444,8 +393,7 @@ let run_sweep state params =
                   ~default:(16 * 1024 * 8)) );
          ])
   in
-  let reports, hit = Artifacts.sweep state.artifacts spec in
-  (Json.Obj [ ("rows", Json.List (List.map sweep_row_json reports)) ], hit)
+  Artifacts.sweep state.artifacts spec
 
 let run_codes state params =
   let code_type = code_type_field params in
@@ -458,19 +406,7 @@ let run_codes state params =
   (match Codebook.validate_length ~radix ~length:code_length code_type with
   | Ok () -> ()
   | Error msg -> E.fail (E.Invalid_input { what = msg; hint = None }));
-  let words, hit =
-    Artifacts.words state.artifacts ~radix ~length:code_length ~count code_type
-  in
-  ( Json.Obj
-      [
-        ("code", Json.String (Codebook.name code_type));
-        ( "omega",
-          Json.Int (Codebook.space_size ~radix ~length:code_length code_type) );
-        ( "words",
-          Json.List (List.map (fun w -> Json.String (Word.to_string w)) words)
-        );
-      ],
-    hit )
+  Artifacts.words state.artifacts ~radix ~length:code_length ~count code_type
 
 let run_check params =
   let open Nanodec_proptest in
@@ -558,15 +494,16 @@ let dispatch state ~id json =
   in
   let exec = exec_of_json json in
   let params = params_of_json json in
+  let tree json = (Json.to_string json, false) in
   let result, cached =
     match verb with
-    | "ping" -> (Json.Obj [ ("pong", Json.Bool true) ], false)
+    | "ping" -> tree (Json.Obj [ ("pong", Json.Bool true) ])
     | "evaluate" -> run_evaluate state ~exec params
     | "yield" -> run_yield state ~exec params
     | "sweep" -> run_sweep state params
     | "codes" -> run_codes state params
-    | "check" -> (run_check params, false)
-    | "stats" -> (run_stats state, false)
+    | "check" -> tree (run_check params)
+    | "stats" -> tree (run_stats state)
     | "shutdown" ->
       Atomic.set state.stopping true;
       (* What the drain will have to finish: every other in-flight
@@ -574,14 +511,14 @@ let dispatch state ~id json =
          [- 1]).  [shed] is the admission-control reject count so far —
          the split between served-before-stopping and refused load. *)
       let sched = scheduler_view state in
-      ( Json.Obj
-          [
-            ("stopping", Json.Bool true);
-            ( "draining",
-              Json.Int (max 0 (sched.inflight - 1) + sched.queued) );
-            ("shed", Json.Int sched.shed);
-          ],
-        false )
+      tree
+        (Json.Obj
+           [
+             ("stopping", Json.Bool true);
+             ( "draining",
+               Json.Int (max 0 (sched.inflight - 1) + sched.queued) );
+             ("shed", Json.Int sched.shed);
+           ])
     | v ->
       E.invalid_inputf
         ~hint:("known verbs: " ^ String.concat ", " known_verbs)
@@ -621,7 +558,7 @@ let handle_line state line =
              }) )
   in
   match response with
-  | Ok r -> Json.to_string r
+  | Ok r -> r
   | Error err ->
     Atomic.incr state.errors;
     Json.to_string (error_response ~id err)

@@ -30,15 +30,20 @@
     so equal requests produce byte-equal responses — the property the
     CI smoke goldens and the concurrent-soak determinism test rely on.
 
+    The cached verbs ([evaluate], [yield], [sweep], [codes]) do not
+    render their results per request: the artifact cache stores each
+    result as its rendered fragment ({!Artifacts.value}), and the
+    response splices those bytes into the envelope.  The splice is
+    byte-identical to rendering the whole response tree.
+
     Execution knobs in ["exec"] are validated by the same
     {!Nanodec_error} validators as the CLI flags and applied through
-    {!Nanodec_parallel.Run_ctx.with_request}: plain requests borrow the
-    daemon's shared pool, while requests carrying a fault plan or
-    [no_degrade] run on a private request-scoped pool and bypass the
-    result caches, so injected faults actually execute.  A timeout
-    alone does neither: a deadline-bearing request borrows the shared
-    pool and is served from the cache like any other, since a result
-    computed inside its deadline is the same bytes.  Its deadline
+    {!Nanodec_parallel.Run_ctx.with_request}, and every request borrows
+    the daemon's shared pool.  Requests carrying a fault plan or
+    [no_degrade] bypass the result caches, so injected faults actually
+    execute.  A timeout does not: a deadline-bearing request is served
+    from the cache like any other, since a result computed inside its
+    deadline is the same bytes.  Its deadline
     bounds only the work it runs itself; a timed-out build stores
     nothing, and requests waiting on that build retry instead of
     inheriting the timeout ({!Artifact_cache.find_or_build}). *)

@@ -15,8 +15,9 @@ type conn = {
   id : int;  (* completions address connections by id, not fd *)
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (* bytes of the current incomplete line *)
-  mutable out : string;  (* pending response bytes *)
-  mutable sent : int;
+  out : Buffer.t;  (* response bytes queued behind [sending] *)
+  mutable sending : string;  (* the bytes being written now *)
+  mutable sent : int;  (* how much of [sending] is written *)
   mutable discarding : bool;  (* inside an oversized line, until '\n' *)
   mutable closing : bool;  (* EOF seen: close once everything is answered *)
   mutable next_seq : int;  (* arrival index of the next submitted line *)
@@ -97,9 +98,13 @@ let warn fmt =
 let load_snapshot ~state path =
   match Snapshot.load ~path ~schema:Artifacts.snapshot_schema with
   | Ok [] -> ()
-  | Ok entries ->
-    Artifact_cache.restore (Protocol.artifacts state) entries;
-    warn "restored %d cached artifacts from %s" (List.length entries) path
+  | Ok entries -> (
+    match Artifacts.restore (Protocol.artifacts state) entries with
+    | Ok () ->
+      warn "restored %d cached artifacts from %s" (List.length entries) path
+    | Error msg ->
+      warn "ignoring snapshot with non-fragment records (starting cold): %s: %s"
+        path msg)
   | Error msg ->
     (* Corruption costs the warm cache, never the daemon. *)
     warn "ignoring corrupt snapshot (starting cold): %s" msg
@@ -118,7 +123,7 @@ let write_snapshot t path ~now =
   match
     Fault.hit (fault t) ~key:ordinal "serve.snapshot";
     Snapshot.save ~path ~schema:Artifacts.snapshot_schema
-      (Artifact_cache.dump (Protocol.artifacts t.state))
+      (Artifacts.snapshot (Protocol.artifacts t.state))
   with
   | Ok () ->
     t.last_snapshot_mark <- mark;
@@ -340,7 +345,10 @@ let close t =
 (* --- response ordering --- *)
 
 (* Append every response whose arrival-order predecessors are already
-   out; later completions wait in [conn.pending]. *)
+   out; later completions wait in [conn.pending].  Responses go into a
+   buffer, never onto the unsent string, so a client that pipelines
+   many lines and reads late costs one copy per byte, not one per
+   completion. *)
 let flush_ready conn =
   let continue = ref true in
   while !continue do
@@ -348,7 +356,8 @@ let flush_ready conn =
     | Some response ->
       Hashtbl.remove conn.pending conn.next_write;
       conn.next_write <- conn.next_write + 1;
-      conn.out <- conn.out ^ response ^ "\n"
+      Buffer.add_string conn.out response;
+      Buffer.add_char conn.out '\n'
     | None -> continue := false
   done
 
@@ -466,9 +475,11 @@ let feed t conn data n =
 
 (* --- socket events --- *)
 
+let unflushed conn =
+  conn.sent < String.length conn.sending || Buffer.length conn.out > 0
+
 (* Everything submitted has been answered and flushed. *)
-let settled conn =
-  conn.next_write = conn.next_seq && conn.out = "" && conn.sent = 0
+let settled conn = conn.next_write = conn.next_seq && not (unflushed conn)
 
 let handle_readable t conn =
   match Unix.read conn.fd t.read_buf 0 (Bytes.length t.read_buf) with
@@ -485,13 +496,17 @@ let handle_readable t conn =
   | exception Unix.Unix_error _ -> drop_conn t conn
 
 let handle_writable t conn =
-  let pending = String.length conn.out - conn.sent in
+  if conn.sending = "" then begin
+    conn.sending <- Buffer.contents conn.out;
+    Buffer.reset conn.out
+  end;
+  let pending = String.length conn.sending - conn.sent in
   if pending > 0 then
-    match Unix.write_substring conn.fd conn.out conn.sent pending with
+    match Unix.write_substring conn.fd conn.sending conn.sent pending with
     | n ->
       conn.sent <- conn.sent + n;
-      if conn.sent = String.length conn.out then begin
-        conn.out <- "";
+      if conn.sent = String.length conn.sending then begin
+        conn.sending <- "";
         conn.sent <- 0;
         if conn.closing && settled conn then drop_conn t conn
       end
@@ -510,7 +525,8 @@ let handle_accept t =
         id;
         fd;
         inbuf = Buffer.create 256;
-        out = "";
+        out = Buffer.create 256;
+        sending = "";
         sent = 0;
         discarding = false;
         closing = false;
@@ -558,12 +574,10 @@ let drain t =
   let rec settle () =
     drain_completions t;
     let waiting = List.exists (fun c -> c.next_write < c.next_seq) t.conns in
-    let unflushed =
-      List.filter (fun c -> String.length c.out > c.sent) t.conns
-    in
-    if (waiting || unflushed <> []) && Unix.gettimeofday () < deadline then begin
+    let writers = List.filter unflushed t.conns in
+    if (waiting || writers <> []) && Unix.gettimeofday () < deadline then begin
       match
-        Unix.select [ t.wake_r ] (List.map (fun c -> c.fd) unflushed) [] 0.5
+        Unix.select [ t.wake_r ] (List.map (fun c -> c.fd) writers) [] 0.5
       with
       | r, w, _ ->
         if r <> [] then drain_wake t;
@@ -603,7 +617,7 @@ let serve t =
         in
         let writes =
           List.filter_map
-            (fun c -> if String.length c.out > c.sent then Some c.fd else None)
+            (fun c -> if unflushed c then Some c.fd else None)
             t.conns
         in
         match Unix.select reads writes [] 1.0 with

@@ -1,23 +1,22 @@
 (* Crash-safe artifact-cache snapshots.
 
-   On-disk layout (all integers little-endian u32):
+   On-disk layout (all integers little-endian):
 
-     magic line        "nanodec-snapshot v1\n"
-     schema line       caller schema + "|ocaml-" + Sys.ocaml_version + "\n"
+     magic line        "nanodec-snapshot v2\n"
+     schema line       caller schema + "\n"
      u32  count        number of records
-     record*count      u32 key_len | key | u32 val_len | val | u32 crc
+     record*count      u32 key_len | key | f64 cost_s | u32 val_len | val
+                       | u32 crc
      (end of file — trailing bytes are corruption)
 
-   [val] is [Marshal.to_string (cost_s, value)]; [crc] is CRC-32
-   (reflected, polynomial 0xEDB88320) over the concatenated key and
-   val bytes.  The CRC is verified BEFORE the bytes reach [Marshal] —
-   unmarshalling corrupt input can crash the runtime, so nothing
-   untrusted is ever handed to it.  The schema line pins both the
-   caller's value-type version and the OCaml runtime version (Marshal
-   formats are runtime-specific); any mismatch degrades to a cold
-   cache like any other corruption. *)
+   [cost_s] is the entry's build cost in seconds, as the IEEE-754 bits
+   of the float; [val] is the stored bytes verbatim.  [crc] is CRC-32
+   (reflected, polynomial 0xEDB88320) over key, cost and val.  Nothing
+   is ever decoded beyond these fields: the loader hands back strings,
+   and what they mean is the caller's business, pinned by the schema
+   line. *)
 
-let magic = "nanodec-snapshot v1\n"
+let magic = "nanodec-snapshot v2\n"
 
 (* A record must fit in memory many times over; anything claiming a
    gigabyte-scale length is a torn or hostile file, not a cache. *)
@@ -41,10 +40,13 @@ let crc32_update crc s =
     s;
   !crc
 
-let crc32_pair a b =
-  lnot (crc32_update (crc32_update 0xFFFFFFFF a) b) land 0xFFFFFFFF
+let crc32 parts =
+  lnot (List.fold_left crc32_update 0xFFFFFFFF parts) land 0xFFFFFFFF
 
-let full_schema schema = schema ^ "|ocaml-" ^ Sys.ocaml_version
+let cost_bytes cost_s =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.bits_of_float cost_s);
+  Bytes.unsafe_to_string b
 
 (* --- save --- *)
 
@@ -77,17 +79,18 @@ let save ~path ~schema entries =
   try
     let buf = Buffer.create 4096 in
     Buffer.add_string buf magic;
-    Buffer.add_string buf (full_schema schema);
+    Buffer.add_string buf schema;
     Buffer.add_char buf '\n';
     add_u32 buf (List.length entries);
     List.iter
       (fun (key, cost_s, value) ->
-        let payload = Marshal.to_string (cost_s, value) [] in
+        let cost = cost_bytes cost_s in
         add_u32 buf (String.length key);
         Buffer.add_string buf key;
-        add_u32 buf (String.length payload);
-        Buffer.add_string buf payload;
-        add_u32 buf (crc32_pair key payload))
+        Buffer.add_string buf cost;
+        add_u32 buf (String.length value);
+        Buffer.add_string buf value;
+        add_u32 buf (crc32 [ key; cost; value ]))
       entries;
     write_file path (Buffer.contents buf);
     Ok ()
@@ -139,9 +142,8 @@ let parse ~schema data =
     | Some _ | None -> corruptf "missing schema line"
   in
   let found = String.sub data !pos (schema_end - !pos) in
-  let expected = full_schema schema in
-  if found <> expected then
-    corruptf "schema mismatch: snapshot %S, expected %S" found expected;
+  if found <> schema then
+    corruptf "schema mismatch: snapshot %S, expected %S" found schema;
   pos := schema_end + 1;
   let count = take_u32 "record count" in
   if count > max_len then corruptf "absurd record count %d" count;
@@ -151,15 +153,14 @@ let parse ~schema data =
     let key_len = take_u32 what in
     if key_len > max_len then corruptf "%s: absurd key length" what;
     let key = take_str key_len what in
+    let cost = take_str 8 what in
     let val_len = take_u32 what in
     if val_len > max_len then corruptf "%s: absurd value length" what;
-    let payload = take_str val_len what in
+    let value = take_str val_len what in
     let crc = take_u32 what in
-    if crc <> crc32_pair key payload then
+    if crc <> crc32 [ key; cost; value ] then
       corruptf "%s: CRC mismatch (%s)" what key;
-    (* The CRC passed, so these are the exact bytes [save] produced
-       and unmarshalling is safe. *)
-    let cost_s, value = Marshal.from_string payload 0 in
+    let cost_s = Int64.float_of_bits (String.get_int64_le cost 0) in
     entries := (key, cost_s, value) :: !entries
   done;
   if !pos <> len then
@@ -173,6 +174,3 @@ let load ~path ~schema =
     | entries -> Ok entries
     | exception Corrupt msg -> Error (path ^ ": " ^ msg)
     | exception Sys_error msg -> Error msg
-    | exception Failure msg ->
-      (* Marshal.from_string on a short buffer. *)
-      Error (path ^ ": " ^ msg)

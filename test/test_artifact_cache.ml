@@ -426,8 +426,8 @@ let test_hit_equiv_miss_oracle () =
   check_outcome (Property.run ~seed:2009 ~count:200 hit_equiv_miss_prop)
 
 (* ... and the same invariant on the real artifact layer: a report and
-   an estimate served twice through [Artifacts] are bit-for-bit the
-   value the cold path computes. *)
+   an estimate served twice through [Artifacts] are byte-for-byte the
+   rendering of the value the cold path computes. *)
 
 let test_artifacts_hit_equiv_cold () =
   let open Nanodec in
@@ -436,7 +436,9 @@ let test_artifacts_hit_equiv_cold () =
   let spec =
     Design.spec ~code_type:Codebook.Balanced_gray ~code_length:8 ()
   in
-  let cold_report = Design.evaluate spec in
+  let cold_report =
+    Json.to_string (Artifacts.report_json (Design.evaluate spec))
+  in
   let r1, h1 = Artifacts.report cache spec in
   let r2, h2 = Artifacts.report cache spec in
   Alcotest.(check (pair bool bool)) "miss then hit" (false, true) (h1, h2);
@@ -445,9 +447,11 @@ let test_artifacts_hit_equiv_cold () =
   let config = spec.Design.cave in
   let cold_analysis = Cave.analyze config in
   let cold_estimate =
-    Cave.mc_yield_window_par ~ctx
-      (Nanodec_numerics.Rng.create ~seed:7)
-      ~samples:400 cold_analysis
+    Json.to_string
+      (Artifacts.estimate_json ~seed:7
+         (Cave.mc_yield_window_par ~ctx
+            (Nanodec_numerics.Rng.create ~seed:7)
+            ~samples:400 cold_analysis))
   in
   let e1, eh1 = Artifacts.estimate cache ~ctx ~seed:7 ~samples:400 config in
   let e2, eh2 = Artifacts.estimate cache ~ctx ~seed:7 ~samples:400 config in
@@ -455,6 +459,190 @@ let test_artifacts_hit_equiv_cold () =
     (eh1, eh2);
   Alcotest.(check bool) "cached estimate ≡ cold estimate" true
     (e1 = cold_estimate && e2 = cold_estimate)
+
+(* --- rendered fragments ---
+
+   The final kinds store response bytes.  Each fragment must be the
+   canonical rendering of one JSON object (it re-renders to itself, so
+   splicing it is the same as rendering the tree), and its fields must
+   be exactly the typed values the cold path computes. *)
+
+let parse_object what bytes =
+  match Json.parse bytes with
+  | Ok (Json.Obj _ as v) ->
+    Alcotest.(check string) (what ^ " re-renders to itself") bytes
+      (Json.to_string v);
+    v
+  | Ok _ | Error _ -> Alcotest.failf "%s is not a JSON object: %S" what bytes
+
+let field what name json =
+  match Json.member name json with
+  | Some v -> v
+  | None -> Alcotest.failf "%s lacks %S" what name
+
+let float_field what name json =
+  match Json.to_float_opt (field what name json) with
+  | Some f -> f
+  | None -> Alcotest.failf "%s.%s is not a number" what name
+
+let int_field what name json =
+  match Json.to_int_opt (field what name json) with
+  | Some i -> i
+  | None -> Alcotest.failf "%s.%s is not an int" what name
+
+let check_estimate_fields what json (e : Nanodec_numerics.Montecarlo.estimate) =
+  let open Nanodec_numerics.Montecarlo in
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check (float 0.)) (what ^ "." ^ name) want
+        (float_field what name json))
+    [
+      ("mean", e.mean);
+      ("std_error", e.std_error);
+      ("ci95_low", e.ci95_low);
+      ("ci95_high", e.ci95_high);
+    ];
+  Alcotest.(check int) (what ^ ".samples") e.samples
+    (int_field what "samples" json)
+
+let test_fragments_canonical_and_typed () =
+  let open Nanodec in
+  let module Mc = Nanodec_numerics.Montecarlo in
+  Nanodec_parallel.Run_ctx.with_ctx ~domains:2 @@ fun ctx ->
+  let cache = Artifacts.create ~capacity:16 () in
+  let spec = Design.spec ~code_type:Codebook.Gray ~code_length:8 () in
+  let report = Design.evaluate spec in
+  let r = parse_object "report" (fst (Artifacts.report cache spec)) in
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check (float 0.)) ("report." ^ name) want
+        (float_field "report" name r))
+    [
+      ("phi_per_wire", report.Design.phi_per_wire);
+      ("sigma_norm1", report.Design.sigma_norm1);
+      ("average_nu", report.Design.average_nu);
+      ("cave_yield", report.Design.cave_yield);
+      ("crossbar_yield", report.Design.crossbar_yield);
+      ("effective_bits", report.Design.effective_bits);
+      ("bit_area", report.Design.bit_area);
+      ("area", report.Design.area);
+    ];
+  Alcotest.(check int) "report.phi" report.Design.phi (int_field "report" "phi" r);
+  let config = spec.Design.cave in
+  let analysis = Cave.analyze config in
+  let plain =
+    Cave.mc_yield_window_par ~ctx
+      (Nanodec_numerics.Rng.create ~seed:5)
+      ~samples:300 analysis
+  in
+  let e =
+    parse_object "estimate"
+      (fst (Artifacts.estimate cache ~ctx ~seed:5 ~samples:300 config))
+  in
+  check_estimate_fields "estimate" e plain;
+  Alcotest.(check int) "estimate.seed" 5 (int_field "estimate" "seed" e);
+  Alcotest.(check bool) "plain estimate has no method tag" true
+    (Json.member "method" e = None);
+  let mc_spec =
+    { (Mc.spec_of_ctx ~ctx ~samples:300 ()) with Mc.strategy = Mc.Antithetic }
+  in
+  let tagged =
+    Cave.mc_yield_window_par ~ctx ~spec:mc_spec
+      (Nanodec_numerics.Rng.create ~seed:5)
+      ~samples:300 analysis
+  in
+  let es =
+    parse_object "spec estimate"
+      (fst (Artifacts.estimate_spec cache ~ctx ~seed:5 ~spec:mc_spec config))
+  in
+  check_estimate_fields "spec estimate" es tagged;
+  Alcotest.(check (option string)) "spec estimate method tag"
+    (Some (Mc.strategy_name Mc.Antithetic))
+    (Option.bind (Json.member "method" es) Json.to_string_opt);
+  let rows =
+    match
+      Json.to_list_opt
+        (field "sweep" "rows"
+           (parse_object "sweep" (fst (Artifacts.sweep cache spec))))
+    with
+    | Some rows -> rows
+    | None -> Alcotest.fail "sweep.rows is not a list"
+  in
+  let direct = Optimizer.sweep ~spec () in
+  Alcotest.(check int) "sweep row count" (List.length direct)
+    (List.length rows);
+  List.iter2
+    (fun (d : Design.report) row ->
+      Alcotest.(check int) "sweep row phi" d.Design.phi
+        (int_field "sweep row" "phi" row);
+      Alcotest.(check (float 0.)) "sweep row crossbar_yield"
+        d.Design.crossbar_yield
+        (float_field "sweep row" "crossbar_yield" row);
+      Alcotest.(check (float 0.)) "sweep row bit_area" d.Design.bit_area
+        (float_field "sweep row" "bit_area" row))
+    direct rows;
+  let w =
+    parse_object "words"
+      (fst
+         (Artifacts.words cache ~radix:2 ~length:6 ~count:9
+            Codebook.Arranged_hot))
+  in
+  Alcotest.(check int) "words.omega"
+    (Codebook.space_size ~radix:2 ~length:6 Codebook.Arranged_hot)
+    (int_field "words" "omega" w);
+  Alcotest.(check (list string)) "words.words"
+    (List.map Word.to_string
+       (Codebook.sequence ~radix:2 ~length:6 ~count:9 Codebook.Arranged_hot))
+    (List.filter_map Json.to_string_opt
+       (Option.value (Json.to_list_opt (field "words" "words" w)) ~default:[]))
+
+(* Only the fragment kinds are persisted; a restore of them serves the
+   same bytes as hits, and the intermediate kinds rebuild on demand. *)
+let test_snapshot_keeps_fragments_only () =
+  let open Nanodec in
+  Nanodec_parallel.Run_ctx.with_ctx ~domains:2 @@ fun ctx ->
+  let cache = Artifacts.create ~capacity:16 () in
+  let config =
+    (Design.spec ~code_type:Codebook.Tree ~code_length:6 ()).Design.cave
+  in
+  let bytes, _ = Artifacts.estimate cache ~ctx ~seed:3 ~samples:200 config in
+  let entries = Artifacts.snapshot cache in
+  Alcotest.(check (list string)) "only the estimate is persisted"
+    [ "estimate" ]
+    (List.map
+       (fun (k, _, _) -> String.sub k 0 (String.index k '|'))
+       entries);
+  let fresh = Artifacts.create ~capacity:16 () in
+  (match Artifacts.restore fresh entries with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "restore refused its own snapshot: %s" msg);
+  Alcotest.(check (pair string bool)) "restored estimate is a hit, same bytes"
+    (bytes, true)
+    (Artifacts.estimate fresh ~ctx ~seed:3 ~samples:200 config);
+  Alcotest.(check bool) "analysis rebuilds after a restore" false
+    (snd (Artifacts.analysis fresh config))
+
+let test_restore_refuses_non_fragments () =
+  let fragment = {|{"mean":0.5,"samples":10}|} in
+  List.iter
+    (fun (what, entries) ->
+      let cache = Artifacts.create ~capacity:16 () in
+      match Artifacts.restore cache entries with
+      | Ok () -> Alcotest.failf "%s was restored" what
+      | Error _ ->
+        Alcotest.(check int) (what ^ ": nothing restored") 0
+          (Artifact_cache.length cache))
+    [
+      ( "an intermediate kind's key",
+        [ ("estimate|seed=1|x", 0.1, fragment); ("analysis|x", 0.1, fragment) ] );
+      ("a key without a kind", [ ("report", 0.1, fragment) ]);
+      ("bytes that are not JSON", [ ("report|x", 0.1, "\x84\x95\xa6\xbe") ]);
+      ("a JSON value that is not an object", [ ("sweep|x", 0.1, "[1,2]") ]);
+      ( "a non-canonical rendering",
+        [ ("words|x", 0.1, {|{"code": "TC"}|}) ] );
+      ( "a fragment with a newline",
+        [ ("words|x", 0.1, "{\"code\":\"TC\"}\n") ] );
+    ]
 
 (* --- dump/restore + snapshot persistence --- *)
 
@@ -581,8 +769,9 @@ let snapshot_roundtrip_prop =
       let+ chars = list (elements [ 'a'; 'b'; 'z'; '0'; '\n'; '\000'; '|' ]) in
       String.init (List.length chars) (List.nth chars)
     in
-    (* Exactly representable costs, so structural equality is exact. *)
-    let cost = elements [ 0.; 0.5; 1.25; 1e9 ] in
+    (* Costs are stored as their IEEE-754 bits, so any finite cost
+       comes back exactly. *)
+    let cost = elements [ 0.; 0.5; 1.25; 1e9; 0.1; 3.7e-6 ] in
     let value =
       let+ words = list (elements [ "yield"; "\x00\xff"; ""; "mspt" ]) in
       String.concat "/" words
@@ -702,6 +891,12 @@ let suite =
       test_hit_equiv_miss_oracle;
     Alcotest.test_case "artifacts: hit = cold, bit for bit" `Quick
       test_artifacts_hit_equiv_cold;
+    Alcotest.test_case "fragments: canonical, equal to the typed values"
+      `Quick test_fragments_canonical_and_typed;
+    Alcotest.test_case "snapshot keeps the fragment kinds only" `Quick
+      test_snapshot_keeps_fragments_only;
+    Alcotest.test_case "restore refuses non-fragment entries" `Quick
+      test_restore_refuses_non_fragments;
     Alcotest.test_case "dump/restore round trip" `Quick
       test_dump_restore_roundtrip;
     Alcotest.test_case "restore into a smaller cache keeps the MRU tail"

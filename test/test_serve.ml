@@ -481,6 +481,95 @@ let test_no_degrade_mapping () =
     (Json.to_string (member "result" baseline))
     (Json.to_string (member "result" after))
 
+(* --- spliced fragments ---
+
+   Cached verbs answer with stored result bytes spliced into the
+   envelope; these pin the splices to what rendering the whole tree
+   gives. *)
+
+(* [line] with the envelope's cached flag cleared, so responses that
+   differ only in it compare equal. *)
+let uncached line =
+  let flag = {|"cached":true|} in
+  let n = String.length flag in
+  let rec find i =
+    if i + n > String.length line then line
+    else if String.sub line i n = flag then
+      String.sub line 0 i ^ {|"cached":false|}
+      ^ String.sub line (i + n) (String.length line - i - n)
+    else find (i + 1)
+  in
+  find 0
+
+let fragment_lines =
+  [
+    {|{"id":1,"verb":"evaluate","params":{"code":"GC","length":8}}|};
+    {|{"id":2,"verb":"evaluate","params":{"code":"GC","length":8},"exec":{"seed":4,"mc_samples":300}}|};
+    {|{"id":3,"verb":"evaluate","params":{"code":"GC","length":8},"exec":{"seed":4,"mc_samples":300,"method":"antithetic"}}|};
+    {|{"id":4,"verb":"yield","params":{"code":"GC","length":8},"exec":{"seed":4,"mc_samples":300}}|};
+    {|{"id":5,"verb":"yield","params":{"code":"GC","length":8},"exec":{"seed":4,"mc_samples":300,"method":"antithetic"}}|};
+    {|{"id":6,"verb":"sweep","params":{"radix":2,"wires":16}}|};
+    {|{"id":7,"verb":"codes","params":{"code":"HC","length":6,"count":7}}|};
+    {|{"id":8,"verb":"yield","params":{"code":"GC","length":8},"exec":{"seed":4,"mc_samples":300,"fault_plan":"seed=3;pool.chunk:delay=1ms:p=0.5"}}|};
+  ]
+
+(* Miss, hit and cache-off answers of every cached verb — the
+   fault-plan bypass included — are the same bytes but for the cached
+   flag. *)
+let test_miss_hit_nocache_same_bytes () =
+  let misses =
+    List.map
+      (fun line -> with_state @@ fun state -> Protocol.handle_line state line)
+      fragment_lines
+  in
+  let hits =
+    with_state @@ fun state ->
+    List.iter (fun l -> ignore (Protocol.handle_line state l)) fragment_lines;
+    List.map (Protocol.handle_line state) fragment_lines
+  in
+  let nocache =
+    with_state ~cache_enabled:false @@ fun state ->
+    List.map (Protocol.handle_line state) fragment_lines
+  in
+  List.iteri
+    (fun i line ->
+      let miss = List.nth misses i in
+      Alcotest.(check bool) ("a fresh state misses: " ^ line) false
+        (bool_member "cached" (parse_response miss));
+      Alcotest.(check string) ("hit ≡ miss: " ^ line) miss
+        (uncached (List.nth hits i));
+      Alcotest.(check string) ("no-cache ≡ miss: " ^ line) miss
+        (List.nth nocache i))
+    fragment_lines;
+  Alcotest.(check (list bool)) "the repeats were hits, but for the bypass"
+    [ true; true; true; true; true; true; true; false ]
+    (List.map (fun r -> bool_member "cached" (parse_response r)) hits)
+
+(* The mc object of evaluate + mc_samples is the mc object of yield for
+   the same (config, seed, samples), method tag included, and dropping
+   it gives the plain evaluate bytes. *)
+let test_evaluate_mc_splice () =
+  with_state @@ fun state ->
+  let result i = expect_ok (ask state (List.nth fragment_lines i)) in
+  let plain = result 0 in
+  List.iter
+    (fun (eval_i, yield_i) ->
+      let eval = result eval_i and yld = result yield_i in
+      Alcotest.(check string)
+        (Printf.sprintf "evaluate %d mc ≡ yield %d mc" eval_i yield_i)
+        (Json.to_string (member "mc" yld))
+        (Json.to_string (member "mc" eval));
+      match eval with
+      | Json.Obj fields ->
+        Alcotest.(check string) "evaluate without mc ≡ plain evaluate"
+          (Json.to_string plain)
+          (Json.to_string (Json.Obj (List.remove_assoc "mc" fields)))
+      | _ -> Alcotest.fail "evaluate result is not an object")
+    [ (1, 3); (2, 4) ];
+  Alcotest.(check string) "method tag"
+    "antithetic"
+    (string_member "method" (member "mc" (result 2)))
+
 (* --- sockets --- *)
 
 let serve_in_thread ?max_line_bytes ?max_inflight ?max_queue ?idle_timeout_s
@@ -676,6 +765,48 @@ let test_pipelined_write_over_64k () =
   Alcotest.(check string) "a line split over two reads" serial_split
     (input_line ic);
   Unix.close fd;
+  Client.with_connection address @@ fun conn ->
+  ignore (Client.request conn {|{"verb":"shutdown"}|})
+
+(* A client that pipelines many large responses and reads nothing until
+   it has written every line: the daemon buffers megabytes of replies,
+   and they must come back whole, in order, as the serial bytes.  The
+   cache is warmed first so every reply is a hit whichever worker runs
+   it. *)
+let test_pipelined_sweeps_read_late () =
+  let params =
+    List.init 8 (fun i ->
+        Printf.sprintf {|"params":{"radix":2,"wires":%d}|} (12 + (2 * i)))
+  in
+  let warm = List.map (fun p -> Printf.sprintf {|{"verb":"sweep",%s}|} p) params in
+  let lines =
+    List.init 2000 (fun i ->
+        Printf.sprintf {|{"id":%d,"verb":"sweep",%s}|} i
+          (List.nth params (i mod 8)))
+  in
+  let serial =
+    with_state @@ fun state ->
+    List.iter (fun l -> ignore (Protocol.handle_line state l)) warm;
+    List.map (Protocol.handle_line state) lines
+  in
+  serve_in_thread ~max_queue:2048 (`Tcp 0) @@ fun address ->
+  (Client.with_connection address @@ fun conn ->
+   List.iter (fun l -> ignore (Client.request conn l)) warm);
+  let fd = raw_connect address in
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let written = ref 0 in
+  while !written < String.length payload do
+    written :=
+      !written
+      + Unix.write_substring fd payload !written
+          (String.length payload - !written)
+  done;
+  let ic = Unix.in_channel_of_descr fd in
+  let answered = List.map (fun _ -> input_line ic) lines in
+  Unix.close fd;
+  Alcotest.(check bool) "megabytes were buffered" true
+    (List.fold_left (fun n r -> n + String.length r) 0 answered > 1 lsl 20);
+  Alcotest.(check (list string)) "arrival order, serial bytes" serial answered;
   Client.with_connection address @@ fun conn ->
   ignore (Client.request conn {|{"verb":"shutdown"}|})
 
@@ -880,6 +1011,84 @@ let test_corrupt_snapshot_starts_cold () =
         (Json.to_string (member "result" r)))
     corruptions
 
+(* The pre-fragment snapshot format: magic v1, a schema line pinned to
+   the OCaml version, and records whose payload is [Marshal] output of
+   (cost, value) under a CRC-32 of key and payload. *)
+let v1_snapshot entries =
+  let crc32 s =
+    let crc = ref 0xFFFFFFFF in
+    String.iter
+      (fun ch ->
+        crc := !crc lxor Char.code ch;
+        for _ = 0 to 7 do
+          crc :=
+            if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1)
+            else !crc lsr 1
+        done)
+      s;
+    lnot !crc land 0xFFFFFFFF
+  in
+  let b = Buffer.create 256 in
+  let u32 n = Buffer.add_int32_le b (Int32.of_int n) in
+  Buffer.add_string b "nanodec-snapshot v1\n";
+  Buffer.add_string b ("nanodec-artifacts-v1|ocaml-" ^ Sys.ocaml_version ^ "\n");
+  u32 (List.length entries);
+  List.iter
+    (fun (key, payload) ->
+      u32 (String.length key);
+      Buffer.add_string b key;
+      u32 (String.length payload);
+      Buffer.add_string b payload;
+      u32 (crc32 (key ^ payload)))
+    entries;
+  Buffer.contents b
+
+(* Snapshots from before the fragment format, and snapshots whose
+   records are not fragments, cost the warm cache and nothing else: the
+   daemon starts cold, answers the reference bytes, and its next
+   snapshot is a good one. *)
+let test_stale_snapshot_starts_cold () =
+  with_cache_file @@ fun cache_file ->
+  let reference = Json.to_string (persist_once ~cache_file) in
+  let estimate_key =
+    match Snapshot.load ~path:cache_file ~schema:Artifacts.snapshot_schema with
+    | Ok [ (key, _, _) ] -> key
+    | Ok entries ->
+      Alcotest.failf "expected one persisted fragment, got %d"
+        (List.length entries)
+    | Error msg -> Alcotest.failf "fresh snapshot unreadable: %s" msg
+  in
+  let write bytes =
+    Out_channel.with_open_bin cache_file (fun oc -> output_string oc bytes)
+  in
+  let save entries =
+    match Snapshot.save ~path:cache_file ~schema:Artifacts.snapshot_schema entries with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "save failed: %s" msg
+  in
+  List.iter
+    (fun (what, seed_file) ->
+      seed_file ();
+      let cold = persist_once ~cache_file in
+      Alcotest.(check bool) (what ^ ": daemon starts cold") false
+        (bool_member "cached" cold);
+      Alcotest.(check string) (what ^ ": cold recompute ≡ reference bytes")
+        reference
+        (uncached (Json.to_string cold));
+      Alcotest.(check bool) (what ^ ": the next start is warm") true
+        (bool_member "cached" (persist_once ~cache_file)))
+    [
+      ( "v1 snapshot",
+        fun () ->
+          write
+            (v1_snapshot
+               [ (estimate_key, Marshal.to_string (0.5, [| 1.; 2. |]) []) ]) );
+      ( "intermediate kind",
+        fun () -> save [ ("analysis|" ^ estimate_key, 0.5, {|{"a":1}|}) ] );
+      ( "non-JSON payload",
+        fun () -> save [ (estimate_key, 0.5, Marshal.to_string 0.5 []) ] );
+    ]
+
 (* --- the 8-client soak ---
 
    Every client sends the same request list; the daemon executes
@@ -1017,6 +1226,10 @@ let suite =
       test_deadline_shares_the_cache;
     Alcotest.test_case "no-degrade maps to kind=degraded" `Quick
       test_no_degrade_mapping;
+    Alcotest.test_case "miss, hit and no-cache answers are the same bytes"
+      `Quick test_miss_hit_nocache_same_bytes;
+    Alcotest.test_case "evaluate's mc splice ≡ yield's mc" `Quick
+      test_evaluate_mc_splice;
     Alcotest.test_case "unix socket end to end" `Quick
       test_unix_socket_end_to_end;
     Alcotest.test_case "tcp end to end" `Quick test_tcp_end_to_end;
@@ -1028,6 +1241,8 @@ let suite =
       test_partial_line_eof_dropped;
     Alcotest.test_case "pipelined write over 64 KiB, serial bytes" `Quick
       test_pipelined_write_over_64k;
+    Alcotest.test_case "2,000 pipelined sweeps read late, serial bytes"
+      `Quick test_pipelined_sweeps_read_late;
     Alcotest.test_case "overload sheds deterministically" `Quick
       test_overload_sheds_deterministically;
     Alcotest.test_case "serve.dispatch fault classified, daemon survives"
@@ -1040,6 +1255,8 @@ let suite =
       test_snapshot_survives_restart;
     Alcotest.test_case "corrupt snapshot starts cold, never crashes" `Quick
       test_corrupt_snapshot_starts_cold;
+    Alcotest.test_case "stale or non-fragment snapshot starts cold" `Quick
+      test_stale_snapshot_starts_cold;
     Alcotest.test_case "8-client soak, domains 1 = domains 4" `Quick
       test_concurrent_soak_deterministic;
     Alcotest.test_case "uncached soak, domains 4 = domains 1" `Quick
