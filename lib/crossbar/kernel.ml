@@ -25,6 +25,9 @@ type t = {
      {e total} from N(0, sigma_c^2) in place of the dose-by-dose sum —
      equal in law, different stream. *)
   cell_sigma : float array;
+  noisy_cols : int array array;
+      (* per wire, the columns j of its row with cell_sigma > 0, in
+         ascending order: the importance draw's Gaussian targets *)
   inv_sigma2 : float array;  (* 1/sigma_c^2, 0 for noiseless cells *)
   alpha : float array;
       (* importance mixture weight of cell c within its wire's row:
@@ -138,6 +141,24 @@ let compile ~n_wires ~n_regions ~sigma_t ~sigma_base ~window ~usable passes =
     cell_sigma.(c) <-
       sqrt ((cell_sigma.(c) *. sigma_t *. sigma_t) +. (sigma_base *. sigma_base))
   done;
+  let noisy_cols =
+    Array.init n_wires (fun i ->
+        let cols = ref [] in
+        for j = n_regions - 1 downto 0 do
+          if cell_sigma.((i * n_regions) + j) > 0. then cols := j :: !cols
+        done;
+        Array.of_list !cols)
+  in
+  let plane = if sigma_base <> 0. then Array.init cells (fun i -> i) else [||] in
+  (* [Rng.Fast.add_gaussians] writes through these indices unchecked
+     (noise planes hold [cells] floats, an importance row [m]), so they
+     are bounds-checked here, once per compile. *)
+  let within bound a = Array.for_all (fun i -> 0 <= i && i < bound) a in
+  if
+    not
+      (within cells targets && within cells plane
+      && Array.for_all (within n_regions) noisy_cols)
+  then invalid_arg "Kernel.compile: draw index outside the noise plane";
   let inv_sigma2 =
     Array.map (fun s -> if s > 0. then 1. /. (s *. s) else 0.) cell_sigma
   in
@@ -197,10 +218,11 @@ let compile ~n_wires ~n_regions ~sigma_t ~sigma_base ~window ~usable passes =
     pass_off;
     pass_regions;
     targets;
-    plane = (if sigma_base <> 0. then Array.init cells (fun i -> i) else [||]);
+    plane;
     draws_per_sample =
       Array.length targets + (if sigma_base <> 0. then cells else 0);
     cell_sigma;
+    noisy_cols;
     inv_sigma2;
     alpha;
     alpha_cdf;
@@ -288,7 +310,10 @@ let draw_importance k ~shift rng =
   let fast = ws.fast in
   Rng.Fast.load fast rng;
   (* The scratch plane is reused as one wire's row of cell totals
-     (m <= cells always). *)
+     (m <= cells always): standard normals drawn into the noisy
+     columns in ascending order, then scaled by cell_sigma — the same
+     stream and the same products as one [sigma_c *. gaussian] per
+     noisy cell. *)
   let noise = ws.noise in
   let mu = shift *. k.window in
   let w = k.window in
@@ -307,13 +332,16 @@ let draw_importance k ~shift rng =
         let sel = ref 0 in
         while u >= Array.unsafe_get k.alpha_cdf (base + !sel) do incr sel done;
         let sign = if Rng.Fast.float fast < 0.5 then 1. else -1. in
+        Array.fill noise 0 m 0.;
+        Rng.Fast.add_gaussians fast ~sigma:1. (Array.unsafe_get k.noisy_cols i)
+          noise;
         let failed = ref false in
         for j = 0 to m - 1 do
           let c = base + j in
           let s = Array.unsafe_get k.cell_sigma c in
           let z =
             if s > 0. then begin
-              let z = s *. Rng.Fast.gaussian_std fast in
+              let z = s *. Array.unsafe_get noise j in
               if j = !sel then z +. (sign *. mu) else z
             end
             else 0.

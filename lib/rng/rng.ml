@@ -130,130 +130,59 @@ let gaussian ?(mu = 0.) ?(sigma = 1.) rng =
   in
   mu +. (sigma *. z)
 
+(* The fused Gaussian loop's C stub reads and writes float arrays
+   through Double_flat_field, which assumes the flat representation; a
+   runtime configured without it would silently corrupt memory. *)
+let () =
+  if Obj.tag (Obj.repr (Array.make 1 0.)) <> Obj.double_array_tag then
+    failwith "Rng: float arrays are not flat; the Fast stub needs them flat"
+
 (* Hot-loop mirror of the generator.  The public [t] keeps its friendly
    representation (boxed int64 fields, [float option] spare) because every
    existing consumer — and the bit-for-bit determinism contract — depends
-   on it; the mirror trades that for an unboxed Bigarray state word and a
-   flat float spare so a tight numeric loop pays no per-draw boxing.  The
-   output stream is the same PCG-XSH-RR / Marsaglia polar sequence,
-   bit-for-bit: [load] then any number of draws then [store] leaves the
-   source generator exactly where the equivalent [gaussian] calls would
-   have. *)
+   on it; the mirror trades that for one unboxed Bigarray that the C
+   side (rng_stubs.c) reads and writes in place.  The output stream is
+   the same PCG-XSH-RR / Marsaglia polar sequence, bit-for-bit: [load]
+   then any number of draws then [store] leaves the source generator
+   exactly where the equivalent [gaussian] calls would have. *)
 module Fast = struct
   type rng = t
 
-  type t = {
-    st : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-    (* st.{0} = PCG state, st.{1} = stream increment (odd). *)
-    spare : float array;
-    (* Length 1: the polar method's cached second variate, unboxed. *)
-    mutable has_spare : bool;
-  }
+  (* [|state; increment; has_spare; spare|]: the PCG state and odd
+     stream increment, 1 when the last word holds the polar method's
+     cached second variate (as IEEE bits), else 0.  One flat block the
+     C side reads and writes in place. *)
+  type t = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   let create () =
-    {
-      st = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 2;
-      spare = [| 0. |];
-      has_spare = false;
-    }
+    let fast = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 4 in
+    Bigarray.Array1.fill fast 0L;
+    fast
 
-  let load fast (rng : rng) =
-    Bigarray.Array1.unsafe_set fast.st 0 rng.state;
-    Bigarray.Array1.unsafe_set fast.st 1 rng.increment;
+  let load (fast : t) (rng : rng) =
+    Bigarray.Array1.unsafe_set fast 0 rng.state;
+    Bigarray.Array1.unsafe_set fast 1 rng.increment;
     match rng.spare with
     | Some z ->
-      fast.spare.(0) <- z;
-      fast.has_spare <- true
-    | None -> fast.has_spare <- false
+      Bigarray.Array1.unsafe_set fast 2 1L;
+      Bigarray.Array1.unsafe_set fast 3 (Int64.bits_of_float z)
+    | None -> Bigarray.Array1.unsafe_set fast 2 0L
 
-  let store fast (rng : rng) =
-    rng.state <- Bigarray.Array1.unsafe_get fast.st 0;
-    rng.spare <- (if fast.has_spare then Some fast.spare.(0) else None)
+  let store (fast : t) (rng : rng) =
+    rng.state <- Bigarray.Array1.unsafe_get fast 0;
+    rng.spare <-
+      (if Bigarray.Array1.unsafe_get fast 2 <> 0L then
+         Some (Int64.float_of_bits (Bigarray.Array1.unsafe_get fast 3))
+       else None)
 
-  (* Same step/output as [uint32], written against the Bigarray state so
-     the int64 arithmetic stays unboxed without flambda. *)
-  let[@inline] uint32 fast =
-    let s = Bigarray.Array1.unsafe_get fast.st 0 in
-    Bigarray.Array1.unsafe_set fast.st 0
-      (Int64.add (Int64.mul s pcg_multiplier)
-         (Bigarray.Array1.unsafe_get fast.st 1));
-    let xorshifted =
-      Int64.to_int
-        (Int64.logand
-           (Int64.shift_right_logical
-              (Int64.logxor (Int64.shift_right_logical s 18) s)
-              27)
-           0xFFFFFFFFL)
-    in
-    let rot = Int64.to_int (Int64.shift_right_logical s 59) in
-    let rotated = (xorshifted lsr rot) lor (xorshifted lsl (32 - rot)) in
-    rotated land 0xFFFFFFFF
+  external float : t -> (float[@unboxed])
+    = "nanodec_rng_fast_float_byte" "nanodec_rng_fast_float"
+  [@@noalloc]
 
-  let[@inline] float fast = float_of_int (uint32 fast) *. 0x1p-32
-
-  let gaussian_std fast =
-    if fast.has_spare then begin
-      fast.has_spare <- false;
-      Array.unsafe_get fast.spare 0
-    end
-    else
-      let rec loop () =
-        let u = (2. *. float fast) -. 1. in
-        let v = (2. *. float fast) -. 1. in
-        let s = (u *. u) +. (v *. v) in
-        if s >= 1. || s = 0. then loop ()
-        else begin
-          let factor = sqrt (-2. *. log s /. s) in
-          Array.unsafe_set fast.spare 0 (v *. factor);
-          fast.has_spare <- true;
-          u *. factor
-        end
-      in
-      loop ()
-
-  (* The bulk form of [gaussian_std]: equivalent to
-       for t = 0 to n - 1 do
-         noise.(targets.(t)) <- noise.(targets.(t))
-                                +. sigma *. gaussian_std fast
-       done
-     but with the polar pair loop written out here so the PCG step
-     inlines into it and the spare flag is only touched at the run's
-     boundaries — the stream consumed is identical bit for bit. *)
-  let add_gaussians fast ~sigma targets noise =
-    let n = Array.length targets in
-    let t = ref 0 in
-    if n > 0 && fast.has_spare then begin
-      fast.has_spare <- false;
-      let idx = Array.unsafe_get targets 0 in
-      Array.unsafe_set noise idx
-        (Array.unsafe_get noise idx
-        +. (sigma *. Array.unsafe_get fast.spare 0));
-      t := 1
-    end;
-    while !t < n do
-      let u = (2. *. float fast) -. 1. in
-      let v = (2. *. float fast) -. 1. in
-      let s = (u *. u) +. (v *. v) in
-      if s < 1. && s <> 0. then begin
-        let factor = sqrt (-2. *. log s /. s) in
-        let idx = Array.unsafe_get targets !t in
-        Array.unsafe_set noise idx
-          (Array.unsafe_get noise idx +. (sigma *. (u *. factor)));
-        incr t;
-        if !t < n then begin
-          let idx = Array.unsafe_get targets !t in
-          Array.unsafe_set noise idx
-            (Array.unsafe_get noise idx +. (sigma *. (v *. factor)));
-          incr t
-        end
-        else begin
-          (* Odd run: cache the raw second variate exactly as
-             [gaussian_std] would. *)
-          Array.unsafe_set fast.spare 0 (v *. factor);
-          fast.has_spare <- true
-        end
-      end
-    done
+  external add_gaussians :
+    t -> sigma:(float[@unboxed]) -> int array -> float array -> unit
+    = "nanodec_rng_add_gaussians_byte" "nanodec_rng_add_gaussians"
+  [@@noalloc]
 end
 
 let shuffle rng a =

@@ -67,12 +67,27 @@ val gaussian : ?mu:float -> ?sigma:float -> t -> float
 
     The public {!t} keeps its boxed representation because every consumer
     and the determinism contract depend on it; [Fast] is a scratch state
-    with an unboxed int64 word and a flat float spare, for inner loops
+    in one unboxed int64 Bigarray, for inner loops
     that draw thousands of Gaussians per sample.  Mirror discipline:
     {!Fast.load} the source generator, draw, then {!Fast.store} back —
     the source is left exactly where the equivalent {!gaussian} calls
     would have left it, and the values drawn in between are bit-for-bit
-    the same stream. *)
+    the same stream.
+
+    {!Fast.add_gaussians} is one C loop (no OCaml version exists).  It
+    is bit-identical to {!gaussian} because it repeats the same IEEE
+    double operations in the same order: the same PCG-XSH-RR step and
+    32-bit uniform, the same polar acceptance test, the same libm [log]
+    that OCaml's [log] calls, and [sqrt], which IEEE 754 rounds
+    correctly in both languages.  It is compiled with
+    [-ffp-contract=off], so no multiply-add is contracted into an FMA
+    (which would round once where OCaml rounds twice).  The C side
+    reads float arrays flat; loading [Rng] fails if the runtime was
+    configured without flat float arrays.
+
+    Both draws are [external] C primitives, so a caller in another
+    module calls them directly with an unboxed result even when
+    cross-module inlining is off. *)
 module Fast : sig
   type rng := t
 
@@ -88,22 +103,25 @@ module Fast : sig
   val store : t -> rng -> unit
   (** Write the mirror's state back to the source generator. *)
 
-  val float : t -> float
+  external float : t -> (float[@unboxed])
+    = "nanodec_rng_fast_float_byte" "nanodec_rng_fast_float"
+  [@@noalloc]
   (** Same stream as {!Rng.float}. *)
 
-  val gaussian_std : t -> float
-  (** Standard normal draw; [sigma *. gaussian_std fast] is bit-identical
-      to [Rng.gaussian ~sigma] on the same state (the spare caches the
-      raw variate in both implementations). *)
-
-  val add_gaussians :
-    t -> sigma:float -> int array -> float array -> unit
+  external add_gaussians :
+    t -> sigma:(float[@unboxed]) -> int array -> float array -> unit
+    = "nanodec_rng_add_gaussians_byte" "nanodec_rng_add_gaussians"
+  [@@noalloc]
   (** [add_gaussians fast ~sigma targets noise] adds
-      [sigma *. gaussian_std fast] to [noise.(targets.(t))] for each
-      [t] in order, consuming exactly the stream the per-call form
-      would, but with the polar pair loop fused in so no call or spare
-      check remains per draw.  Indices must be within [noise]; they are
-      not checked. *)
+      [Rng.gaussian ~sigma] of the mirrored stream to
+      [noise.(targets.(t))] for each [t] in order: bit for bit the
+      values, and the state and polar spare left behind, of that loop
+      of {!gaussian} calls.  It never allocates.
+
+      {b Indices are unchecked}: every [targets.(t)] must lie in
+      [0, Array.length noise); an index outside it corrupts memory
+      instead of raising.  Callers validate their index arrays once,
+      when they build them (as [Kernel.compile] does). *)
 end
 
 val shuffle : t -> 'a array -> unit

@@ -11,11 +11,12 @@
    pool's own join mutex provides the happens-before that publishes the
    worker buffers to the exporting domain.
 
-   Clock.  OCaml's stdlib has no monotonic clock, so the default clock
-   is [Unix.gettimeofday] made monotonic per recording domain: each
-   span buffer clamps time to never run backwards, which keeps every
-   exported span tree well-formed (children inside parents) even across
-   an NTP step.  A custom [clock] can be injected for tests. *)
+   Clock.  The default clock is CLOCK_MONOTONIC (monotonic_stubs.c), so
+   an NTP step or a manual reset of the wall clock never stretches or
+   shrinks a span.  A custom [clock] can be injected for tests; each span
+   buffer still clamps time to never run backwards, which keeps every
+   exported span tree well-formed (children inside parents) whatever
+   clock was injected. *)
 
 (* --- counters --- *)
 
@@ -75,7 +76,11 @@ type sink = {
 
 let next_sink_id = Atomic.make 0
 
-let create ?(clock = Unix.gettimeofday) () =
+external monotonic_s : unit -> (float[@unboxed])
+  = "nanodec_telemetry_monotonic_s_byte" "nanodec_telemetry_monotonic_s"
+[@@noalloc]
+
+let create ?(clock = monotonic_s) () =
   {
     sink_id = Atomic.fetch_and_add next_sink_id 1;
     clock;

@@ -18,8 +18,9 @@ type sink
 
 val create : ?clock:(unit -> float) -> unit -> sink
 (** A fresh, empty sink.  [clock] (seconds; defaults to
-    [Unix.gettimeofday]) is made monotonic per recording domain, so
-    exported span trees are always well-formed.  Injectable for tests. *)
+    CLOCK_MONOTONIC, which no wall-clock step can move) is clamped to
+    never run backwards per recording domain, so exported span trees
+    are always well-formed.  Injectable for tests. *)
 
 val now : sink -> float
 (** Seconds since the sink was created, by the sink's clock. *)

@@ -108,24 +108,137 @@ let test_kernel_draw_accounting () =
     families
 
 let test_fast_mirror_stream () =
-  (* Rng.Fast must replay the generator's exact Gaussian stream through
-     load/draw/store cycles of every length, including the polar spare
-     cached across a store/load boundary. *)
+  (* Rng.Fast.add_gaussians (the C loop) must equal a loop of
+     Rng.gaussian calls: the sums it writes, bit for bit, for runs of
+     every length, onto scattered and repeated indices; the polar spare
+     carried across each store/load boundary (odd runs leave one); and
+     the generator left where the uniform after the run agrees. *)
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
   let fast = Rng.Fast.create () in
-  for k = 0 to 16 do
-    let xs = Array.init k (fun _ -> Rng.gaussian ~sigma:0.05 a) in
+  let bits = Array.map Int64.bits_of_float in
+  for k = 0 to 17 do
+    let sigma = 0.05 *. float_of_int (1 + (k mod 3)) in
+    (* 0, 3, 1, 4, 2, 0, 3, ... over a plane of 5: every index is hit
+       out of order, and runs longer than 5 repeat them. *)
+    let targets = Array.init k (fun t -> t * 3 mod 5) in
+    let expected = Array.init 5 (fun i -> 0.25 *. float_of_int i) in
+    let noise = Array.copy expected in
+    Array.iter
+      (fun i -> expected.(i) <- expected.(i) +. Rng.gaussian ~sigma a)
+      targets;
     Rng.Fast.load fast b;
-    let ys = Array.init k (fun _ -> 0.05 *. Rng.Fast.gaussian_std fast) in
+    Rng.Fast.add_gaussians fast ~sigma targets noise;
     Rng.Fast.store fast b;
-    Alcotest.(check bool)
+    Alcotest.(check (array int64))
       (Printf.sprintf "gaussian run of %d" k)
-      true (xs = ys);
-    Alcotest.(check bool)
+      (bits expected) (bits noise);
+    Alcotest.(check int64)
       (Printf.sprintf "uniform draw after run of %d" k)
-      true
-      (Rng.float a = Rng.float b)
+      (Int64.bits_of_float (Rng.float a))
+      (Int64.bits_of_float (Rng.float b))
   done
+
+(* --- estimates with no reference oracle, pinned bit for bit ---
+
+   Importance and stratified draws have no executable reference to
+   compare against, so these exact values (recorded from the all-OCaml
+   polar loop the C kernel replaced) pin them; plain is pinned too.  A
+   compiler that contracts the loop into FMAs moves the low bits and
+   fails here.  TC-6 has 7 unusable wires; stratified sample counts
+   align up to a multiple of 16. *)
+
+let golden_estimates =
+  [
+    ( "TC-6", Codebook.Tree, 6,
+      [
+        (Montecarlo.Plain, 301, "0x1.f002b8ba6de27p-2", "0x1.1d52ff98c9d55p-8");
+        (Montecarlo.Importance 1.0, 301, "0x1.f5d769f8c1c7cp-2",
+         "0x1.80270c5a28cf3p-9");
+        (Montecarlo.Importance 2.5, 301, "0x1.d2249de1518ecp-2",
+         "0x1.c67edb97db276p-6");
+        (Montecarlo.Stratified 16, 304, "0x1.efffffffffffep-2",
+         "0x1.10c869b0334afp-8");
+      ] );
+    ( "HC-4", Codebook.Hot, 4,
+      [
+        (Montecarlo.Plain, 301, "0x1.a1159a47c8361p-2", "0x1.a585ce9e9a49bp-9");
+        (Montecarlo.Importance 1.0, 301, "0x1.96f5e76bb739bp-2",
+         "0x1.4745ac7c17245p-9");
+        (Montecarlo.Importance 2.5, 301, "0x1.a4ee5b8b58868p-2",
+         "0x1.96d51219450f5p-7");
+        (Montecarlo.Stratified 16, 304, "0x1.a02b1da46103cp-2",
+         "0x1.97d4c9fbf8962p-9");
+      ] );
+    ( "BGC-10", Codebook.Balanced_gray, 10,
+      [
+        (Montecarlo.Plain, 301, "0x1.c83512335ebe3p-1", "0x1.03f4b22ca0cffp-8");
+        (Montecarlo.Importance 1.0, 301, "0x1.c8eb149b06cf2p-1",
+         "0x1.2d3df80541f2p-9");
+        (Montecarlo.Importance 2.5, 301, "0x1.b06c9638e1271p-1",
+         "0x1.2d14973725d72p-4");
+        (Montecarlo.Stratified 16, 304, "0x1.c7bf53896e7b4p-1",
+         "0x1.0796bb36e7c6ep-8");
+      ] );
+  ]
+
+let test_golden_estimate_bits () =
+  List.iter
+    (fun (design, ct, m, rows) ->
+      let a =
+        Cave.analyze
+          { Cave.default_config with Cave.code_type = ct; code_length = m }
+      in
+      List.iter
+        (fun (strategy, samples, mean, std_error) ->
+          let spec = Montecarlo.spec ~strategy (Montecarlo.fixed 301) in
+          let e =
+            Cave.mc_yield_window_par ~spec (Rng.create ~seed:2009)
+              ~samples:301 a
+          in
+          let name = design ^ " " ^ Montecarlo.strategy_name strategy in
+          Alcotest.(check int) (name ^ " samples") samples e.Montecarlo.samples;
+          Alcotest.(check string) (name ^ " mean") mean
+            (Printf.sprintf "%h" e.Montecarlo.mean);
+          Alcotest.(check string) (name ^ " std_error") std_error
+            (Printf.sprintf "%h" e.Montecarlo.std_error))
+        rows)
+    golden_estimates
+
+(* --- allocation: the draw loops allocate nothing per Gaussian --- *)
+
+let test_alloc_per_sample () =
+  (* Without a context the estimator runs on this domain alone, so the
+     minor-heap word count is deterministic.  A precompiled kernel keeps
+     the one-off compile out of the count.  What remains per sample is
+     the engine's own bookkeeping (the sample's split stream and its
+     write-back), not the draw; the per-cell Gaussian the importance
+     draw once called allocated hundreds of words per sample. *)
+  let samples = 600 in
+  List.iter
+    (fun (ct, m) ->
+      let a = analysis_of ct m in
+      let kernel = Cave.kernel_of_analysis a in
+      List.iter
+        (fun strategy ->
+          let spec = Montecarlo.spec ~strategy (Montecarlo.fixed samples) in
+          let run () =
+            ignore
+              (Cave.mc_yield_window_par ~spec ~kernel (Rng.create ~seed:3)
+                 ~samples a)
+          in
+          run ();
+          let before = Gc.minor_words () in
+          run ();
+          let per_sample =
+            (Gc.minor_words () -. before) /. float_of_int samples
+          in
+          if per_sample > 64. then
+            Alcotest.failf "%s M=%d %s: %.1f words per sample (> 64)"
+              (Codebook.name ct) m
+              (Montecarlo.strategy_name strategy)
+              per_sample)
+        [ Montecarlo.Plain; Montecarlo.Importance 1.0 ])
+    [ (Codebook.Tree, 6); (Codebook.Hot, 4); (Codebook.Balanced_gray, 10) ]
 
 (* --- satellite: sort-based pass extraction pins the historical order --- *)
 
@@ -242,6 +355,10 @@ let suite =
       test_kernel_draw_accounting;
     Alcotest.test_case "Rng.Fast mirrors the gaussian stream" `Quick
       test_fast_mirror_stream;
+    Alcotest.test_case "estimate bits pinned (plain/importance/stratified)"
+      `Quick test_golden_estimate_bits;
+    Alcotest.test_case "draws allocate <= 64 words per sample" `Quick
+      test_alloc_per_sample;
     Alcotest.test_case "pass order regression (sort-based dedup)" `Quick
       test_pass_order_regression;
     Alcotest.test_case "pass eps merge keeps first occurrence" `Quick
