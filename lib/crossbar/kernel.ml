@@ -48,14 +48,10 @@ type t = {
    draw never yields mid-body, so nothing else can touch the buffer
    while it is in use, and the noise plane is refilled from zero at the
    top of each draw.  The buffer grows to the largest kernel seen. *)
-type scratch = {
-  mutable noise : float array;
-  fast : Rng.Fast.t;
-}
+type scratch = { mutable noise : float array }
 
 let workspace : scratch Nanodec_parallel.Workspace.t =
-  Nanodec_parallel.Workspace.create (fun () ->
-      { noise = [||]; fast = Rng.Fast.create () })
+  Nanodec_parallel.Workspace.create (fun () -> { noise = [||] })
 
 (* Total implant draws of one sample: pass p hits wires 0..after_wire(p)
    in each masked region. *)
@@ -150,7 +146,7 @@ let compile ~n_wires ~n_regions ~sigma_t ~sigma_base ~window ~usable passes =
         Array.of_list !cols)
   in
   let plane = if sigma_base <> 0. then Array.init cells (fun i -> i) else [||] in
-  (* [Rng.Fast.add_gaussians] writes through these indices unchecked
+  (* [Rng.add_gaussians] writes through these indices unchecked
      (noise planes hold [cells] floats, an importance row [m]), so they
      are bounds-checked here, once per compile. *)
   let within bound a = Array.for_all (fun i -> 0 <= i && i < bound) a in
@@ -240,15 +236,15 @@ let scratch_for k =
   if Array.length ws.noise < k.cells then ws.noise <- Array.make k.cells 0.;
   ws
 
-let fill_noise k ws =
+let fill_noise k ws rng =
   Array.fill ws.noise 0 k.cells 0.;
   (* Implant noise: one sigma_t Gaussian per precompiled target cell, in
      the exact order [Process.sample_vt_noise] walks passes and regions. *)
-  Rng.Fast.add_gaussians ws.fast ~sigma:k.sigma_t k.targets ws.noise;
+  Rng.add_gaussians rng ~sigma:k.sigma_t k.targets ws.noise;
   (* Intrinsic noise: row-major plane sweep, gated exactly like the
      reference ([sigma_base <> 0.], not an epsilon test). *)
   if k.sigma_base <> 0. then
-    Rng.Fast.add_gaussians ws.fast ~sigma:k.sigma_base k.plane ws.noise
+    Rng.add_gaussians rng ~sigma:k.sigma_base k.plane ws.noise
 
 let scan_yield k noise =
   let good = ref 0 in
@@ -272,9 +268,7 @@ let scan_yield k noise =
 
 let draw k rng =
   let ws = scratch_for k in
-  Rng.Fast.load ws.fast rng;
-  fill_noise k ws;
-  Rng.Fast.store ws.fast rng;
+  fill_noise k ws rng;
   scan_yield k ws.noise
 
 (* The window predicate is even in the noise vector (every comparison
@@ -288,13 +282,11 @@ let draw_stratified k ~strata ~stratum rng =
   if k.strat_cell < 0 then draw k rng
   else begin
     let ws = scratch_for k in
-    Rng.Fast.load ws.fast rng;
-    fill_noise k ws;
+    fill_noise k ws rng;
     (* One extra uniform places the dominant cell inside its stratum;
        the 2^-33 nudge keeps the quantile argument strictly inside
        (0, 1) even at u = 0. *)
-    let u = Rng.Fast.float ws.fast in
-    Rng.Fast.store ws.fast rng;
+    let u = Rng.float rng in
     let p =
       (float_of_int stratum +. u +. 0x1p-33) /. float_of_int strata
     in
@@ -307,8 +299,6 @@ let draw_stratified k ~strata ~stratum rng =
 
 let draw_importance k ~shift rng =
   let ws = scratch_for k in
-  let fast = ws.fast in
-  Rng.Fast.load fast rng;
   (* The scratch plane is reused as one wire's row of cell totals
      (m <= cells always): standard normals drawn into the noisy
      columns in ascending order, then scaled by cell_sigma — the same
@@ -328,12 +318,12 @@ let draw_importance k ~shift rng =
       let base = i * m in
       (* A wire with no noisy cell can never fail: no draws, no term. *)
       if Array.unsafe_get k.alpha_cdf (base + m - 1) > 0. then begin
-        let u = Rng.Fast.float fast in
+        let u = Rng.float rng in
         let sel = ref 0 in
         while u >= Array.unsafe_get k.alpha_cdf (base + !sel) do incr sel done;
-        let sign = if Rng.Fast.float fast < 0.5 then 1. else -1. in
+        let sign = if Rng.float rng < 0.5 then 1. else -1. in
         Array.fill noise 0 m 0.;
-        Rng.Fast.add_gaussians fast ~sigma:1. (Array.unsafe_get k.noisy_cols i)
+        Rng.add_gaussians rng ~sigma:1. (Array.unsafe_get k.noisy_cols i)
           noise;
         let failed = ref false in
         for j = 0 to m - 1 do
@@ -374,7 +364,6 @@ let draw_importance k ~shift rng =
       end
     end
   done;
-  Rng.Fast.store fast rng;
   (float_of_int k.n_usable -. !fail_sum) /. float_of_int k.n
 
 let target k =

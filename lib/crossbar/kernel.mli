@@ -14,10 +14,10 @@
 
     {!draw} then executes one sample as a linear sweep over [targets]
     into a preallocated, domain-local scratch plane (obtained through
-    {!Nanodec_parallel.Workspace}), using the unboxed {!Rng.Fast} mirror
-    of the caller's generator — no per-sample matrix, list or closure
-    allocation — and scans each usable wire's row with an early exit at
-    the first region outside the window.
+    {!Nanodec_parallel.Workspace}), drawing straight from the caller's
+    generator through {!Rng.add_gaussians} — no per-sample matrix, list
+    or closure allocation — and scans each usable wire's row with an
+    early exit at the first region outside the window.
 
     The Gaussian draw order, the [sigma_base <> 0.] gate and the window
     comparison are replicated exactly, so a kernelized estimate is
@@ -63,8 +63,8 @@ val n_passes : t -> int
     Strategy-specific single-sample evaluators, each an {e equally
     unbiased} estimator of the same window yield on its own draw
     stream.  They share {!draw}'s zero-allocation discipline (the same
-    domain-local scratch, the same {!Rng.Fast} mirror); their
-    per-cell tables — total noise scale σ{_c}² = ν{_c}σ{_T}² +
+    domain-local scratch, the same in-place {!Rng.add_gaussians});
+    their per-cell tables — total noise scale σ{_c}² = ν{_c}σ{_T}² +
     σ{_base}², marginal failure probabilities, importance mixture
     weights, the dominant stratification cell — are all precomputed by
     {!compile}.  Callers normally reach them through {!target} rather

@@ -33,16 +33,21 @@ let estimate_proportion rng ~samples f =
 
    One engine runs every (strategy x stopping rule) combination.  The
    determinism contract is unchanged from the chunked estimators it
-   replaces: every sample owns its own split stream ([Rng.split_n]) and
-   its own result slot, and the slots are folded sequentially in sample
+   replaces: sample [s] of a round owns its own stream, the [s]-th
+   split of the round's root generator ([Rng.split_n]), and its own
+   result slot, and the slots are folded sequentially in sample
    order once the fan-out joins.  The estimate is therefore a pure
    function of (seed, spec, target): chunk count, batch size, domain
    count and scheduling order can all move freely — including per
    machine, via {!Nanodec_parallel.Autotune} — without touching a
-   single result bit.  Chunks are contiguous sample ranges and a chunk
-   body is idempotent (slot writes, stream restarted per sample), so
-   the pool's retry/degradation recovery reproduces the uninjected run
-   exactly.
+   single result bit.  The streams are never materialised: before the
+   fan-out one sequential walk snapshots the root at each chunk's first
+   sample ([Rng.skip_splits]), and the chunk body derives each sample's
+   stream from its snapshot in place ([Rng.split_into]), so the draw
+   loop allocates nothing per sample.  Chunks are contiguous sample
+   ranges and a chunk body is idempotent (slot writes, streams
+   re-derived from an untouched snapshot), so the pool's
+   retry/degradation recovery reproduces the uninjected run exactly.
 
    Adaptive stopping adds batch-doubling rounds on top: round [r]
    derives its own root via one sequential [Rng.split] of the caller's
@@ -213,7 +218,7 @@ let align_samples strategy n =
 let default_chunks = 64
 
 (* One scratch generator per domain, allocated on first use and re-aimed
-   ([Rng.copy_into]) at a fresh split stream for every sample — the hot
+   ([Rng.split_into]) at a fresh split stream for every sample — the hot
    loop allocates nothing per sample. *)
 let scratch_rng : Rng.t Workspace.t =
   Workspace.create (fun () -> Rng.create ~seed:0)
@@ -223,6 +228,30 @@ let scratch_rng : Rng.t Workspace.t =
    longer.  [chunks > samples] leaves the excess chunks empty. *)
 let chunk_lo ~samples ~chunks i =
   (i * (samples / chunks)) + min i (samples mod chunks)
+
+(* [sample_body root ~samples ~chunks f] is the chunk body that calls
+   [f s g] for every sample [s] of its chunk in order, [g] drawing the
+   stream of [(Rng.split_n root samples).(s)].  [root] is walked once,
+   here, sequentially: it is snapshotted at each chunk's first sample
+   and left where [samples] splits leave it.  The body derives its
+   streams from a copy of the chunk's snapshot, so a retried chunk
+   re-derives the same streams. *)
+let sample_body root ~samples ~chunks f =
+  let starts =
+    Array.init chunks (fun i ->
+        let start = Rng.copy root in
+        Rng.skip_splits root
+          (chunk_lo ~samples ~chunks (i + 1) - chunk_lo ~samples ~chunks i);
+        start)
+  in
+  fun i ->
+    let parent = Rng.copy starts.(i) in
+    let g = Workspace.get scratch_rng in
+    for s = chunk_lo ~samples ~chunks i to chunk_lo ~samples ~chunks (i + 1) - 1
+    do
+      Rng.split_into parent ~into:g;
+      f s g
+    done
 
 (* How the job is cut: the context's [Fixed] policy wins, otherwise the
    autotuner sizes the plan.  Only the autotuned path records
@@ -314,19 +343,25 @@ let make_acc strategy =
     s_sum_sq = Array.make strata 0.;
   }
 
+(* The running sums live in local refs, which the compiler keeps
+   unboxed, and are written back once: the record's float fields are
+   boxed, so updating them per sample would allocate. *)
 let merge_round acc ~base values =
-  Array.iteri
-    (fun s x ->
-      acc.n <- acc.n + 1;
-      acc.sum <- acc.sum +. x;
-      acc.sum_sq <- acc.sum_sq +. (x *. x);
-      if acc.strata > 1 then begin
-        let k = (base + s) mod acc.strata in
-        acc.s_n.(k) <- acc.s_n.(k) + 1;
-        acc.s_sum.(k) <- acc.s_sum.(k) +. x;
-        acc.s_sum_sq.(k) <- acc.s_sum_sq.(k) +. (x *. x)
-      end)
-    values
+  let sum = ref acc.sum and sum_sq = ref acc.sum_sq in
+  for s = 0 to Array.length values - 1 do
+    let x = values.(s) in
+    sum := !sum +. x;
+    sum_sq := !sum_sq +. (x *. x);
+    if acc.strata > 1 then begin
+      let k = (base + s) mod acc.strata in
+      acc.s_n.(k) <- acc.s_n.(k) + 1;
+      acc.s_sum.(k) <- acc.s_sum.(k) +. x;
+      acc.s_sum_sq.(k) <- acc.s_sum_sq.(k) +. (x *. x)
+    end
+  done;
+  acc.n <- acc.n + Array.length values;
+  acc.sum <- !sum;
+  acc.sum_sq <- !sum_sq
 
 let estimate_of_acc acc =
   let n = float_of_int acc.n in
@@ -366,23 +401,13 @@ let run ?ctx s rng target =
   let ctx = Run_ctx.resolve ?ctx () in
   let eval = evaluator s target in
   let acc = make_acc s.strategy in
-  let run_round ~base streams round_n =
+  let run_round ~base root round_n =
     let plan = resolve_plan ~ctx ~samples:round_n in
     let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
     let values = Array.make round_n 0. in
-    let body i =
-      let g = Workspace.get scratch_rng in
-      for
-        s = chunk_lo ~samples:round_n ~chunks i
-        to chunk_lo ~samples:round_n ~chunks (i + 1) - 1
-      do
-        (* Re-aim, don't share: a chunk retried after a mid-batch
-           injected crash must restart every sample's stream from the
-           beginning, or the recovered run would diverge from the
-           uninjected one. *)
-        Rng.copy_into streams.(s) ~into:g;
-        values.(s) <- eval ~index:(base + s) g
-      done
+    let body =
+      sample_body root ~samples:round_n ~chunks (fun s g ->
+          values.(s) <- eval ~index:(base + s) g)
     in
     run_chunks ~ctx ~chunks ~batch ~samples:round_n body;
     merge_round acc ~base values
@@ -391,9 +416,9 @@ let run ?ctx s rng target =
   | Fixed_samples n ->
     (* One round, streams split directly off the caller's generator —
        for [Plain] this reproduces the historical estimate_par bits
-       exactly (same split_n, same slots, same merge). *)
+       exactly (same split streams, same slots, same merge). *)
     let n = align_samples s.strategy n in
-    run_round ~base:0 (Rng.split_n rng n) n
+    run_round ~base:0 rng n
   | Until_rel_error { rel_error; min_samples; max_samples } ->
     let min_s = align_samples s.strategy (max 2 min_samples) in
     let max_s = max min_s (align_samples s.strategy max_samples) in
@@ -411,7 +436,7 @@ let run ?ctx s rng target =
          (min, max), so round r's streams are a pure function of the
          seed. *)
       let round_rng = Rng.split rng in
-      run_round ~base:!total (Rng.split_n round_rng round_n) round_n;
+      run_round ~base:!total round_rng round_n;
       total := next;
       if next >= max_s || converged ~rel_error acc then stop := true
     done);
@@ -436,15 +461,10 @@ let estimate_proportion_par ?ctx rng ~samples f =
   let ctx = Run_ctx.resolve ?ctx () in
   let plan = resolve_plan ~ctx ~samples in
   let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
-  let streams = Rng.split_n rng samples in
   let hits = Bytes.make samples '\000' in
-  let body i =
-    let g = Workspace.get scratch_rng in
-    for s = chunk_lo ~samples ~chunks i to chunk_lo ~samples ~chunks (i + 1) - 1
-    do
-      Rng.copy_into streams.(s) ~into:g;
-      Bytes.unsafe_set hits s (if f g then '\001' else '\000')
-    done
+  let body =
+    sample_body rng ~samples ~chunks (fun s g ->
+        Bytes.unsafe_set hits s (if f g then '\001' else '\000'))
   in
   run_chunks ~ctx ~chunks ~batch ~samples body;
   let count = ref 0 in

@@ -13,9 +13,11 @@
     {2 Determinism contract}
 
     Every estimate is a {e pure function of (seed, spec, target)}:
-    each sample owns its own {!Rng.split_n} stream and its own result
-    slot, and the slots fold sequentially in sample order once the
-    fan-out joins.  Chunk count, batch size, domain count and
+    sample [s] owns its own stream — the [s]-th {!Rng.split} of the
+    caller's generator, as in {!Rng.split_n}, derived in place per
+    sample ({!Rng.split_into}) from a snapshot taken at its chunk's
+    start — and its own result slot, and the slots fold sequentially in
+    sample order once the fan-out joins.  Chunk count, batch size, domain count and
     scheduling order — including per-machine autotuned plans — move
     wall-clock time only, never a result bit.  Adaptive stopping keeps
     the property round by round: round [r]'s streams derive from one

@@ -69,7 +69,7 @@ type job = {
   fault : Fault.t option;  (* probed at the [pool.chunk] site *)
   submitted : float;  (* sink-relative submit time; 0 with no telemetry *)
   timeout_s : float option;
-  deadline : float option;  (* absolute, Unix.gettimeofday base *)
+  deadline : float option;  (* absolute, Telemetry.monotonic_s base *)
   cancel : Cancel.t option;
   next : int Atomic.t;  (* claim cursor; grows by [batch] per claim *)
   cancelled : bool Atomic.t;
@@ -226,7 +226,7 @@ let check_supervision t j =
     | Some c when Cancel.is_cancelled c -> trip t j cancel_error
     | Some _ | None -> ());
     match j.deadline, j.timeout_s with
-    | Some d, Some s when Unix.gettimeofday () > d ->
+    | Some d, Some s when Telemetry.monotonic_s () > d ->
       trip t j (timeout_error s)
     | _ -> ()
   end
@@ -369,7 +369,7 @@ let check_boundary t ?deadline ?timeout_s ?cancel () =
     raise cancel_error
   | Some _ | None -> ());
   match deadline, timeout_s with
-  | Some d, Some s when Unix.gettimeofday () > d ->
+  | Some d, Some s when Telemetry.monotonic_s () > d ->
     count_timeout t;
     raise (timeout_error s)
   | _ -> ()
@@ -389,7 +389,9 @@ let finish_suppressed ~check ~from ~chunks body =
    Retries injected crashes like the parallel path; once a chunk runs
    out of retries the job degrades from that chunk on, or fails. *)
 let run_inline ?timeout_s ?cancel ?fault ~degrade ~warn t ~chunks body =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
+  let deadline =
+    Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s
+  in
   let check = check_boundary t ?deadline ?timeout_s ?cancel in
   let rec from i =
     if i < chunks then begin
@@ -458,7 +460,7 @@ let parallel_for ?timeout_s ?cancel ?fault ?(degrade = true) ?(warn = true)
             submitted;
             timeout_s;
             deadline =
-              Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s;
+              Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s;
             cancel;
             next = Atomic.make 0;
             cancelled = Atomic.make false;

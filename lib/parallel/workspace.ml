@@ -27,11 +27,14 @@ let get t =
   let mu, tbl = Domain.DLS.get t.slots in
   let id = Thread.id (Thread.self ()) in
   Mutex.lock mu;
-  let found = Hashtbl.find_opt tbl id in
-  Mutex.unlock mu;
-  match found with
-  | Some v -> v
-  | None ->
+  (* [find], not [find_opt]: the hit path runs once per Monte-Carlo
+     sample and must not allocate an option. *)
+  match Hashtbl.find tbl id with
+  | v ->
+    Mutex.unlock mu;
+    v
+  | exception Not_found ->
+    Mutex.unlock mu;
     (* Only this thread ever inserts its own id, so building outside
        the lock cannot double-insert. *)
     let v = t.init () in

@@ -1,15 +1,26 @@
-type t = {
-  mutable state : int64;
-  (* PCG stream selector; must be odd.  Mutable only for [copy_into]'s
-     zero-allocation scratch reuse; nothing else ever writes it. *)
-  mutable increment : int64;
-  (* Cached second Gaussian from the polar method. *)
-  mutable spare : float option;
-}
+(* The generator is one flat 32-byte block of four native-endian int64
+   words, read and written in place both here and by the C loop in
+   rng_stubs.c:
+     [state_at]      PCG state;
+     [increment_at]  PCG stream selector (odd);
+     [has_spare_at]  1 when the polar method's second variate is cached,
+                     else 0;
+     [spare_at]      that cached variate, as IEEE bits. *)
+type t = Bytes.t
 
-(* SplitMix64 — used only to expand the user seed into well-mixed initial
-   state and stream words. *)
-let splitmix64 seed =
+let state_at = 0
+let increment_at = 8
+let has_spare_at = 16
+let spare_at = 24
+let size = 32
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* SplitMix64 — used only to expand seeds into well-mixed initial state
+   and stream words.  Inlined so [split_into] keeps its int64s
+   unboxed. *)
+let[@inline] splitmix64 seed =
   let z = Int64.add seed 0x9E3779B97F4A7C15L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -17,10 +28,17 @@ let splitmix64 seed =
 
 let pcg_multiplier = 6364136223846793005L
 
-let make ~state ~stream =
+(* Aim [rng] at a fresh stream: no spare cached. *)
+let[@inline] reset rng ~state ~stream =
   let increment = Int64.logor (Int64.shift_left stream 1) 1L in
-  let rng = { state = 0L; increment; spare = None } in
-  rng.state <- Int64.add state increment;
+  set64 rng state_at (Int64.add state increment);
+  set64 rng increment_at increment;
+  set64 rng has_spare_at 0L;
+  set64 rng spare_at 0L
+
+let make ~state ~stream =
+  let rng = Bytes.create size in
+  reset rng ~state ~stream;
   rng
 
 let of_int64 seed =
@@ -38,11 +56,8 @@ let mix_seed a b =
      any platform and stays non-negative. *)
   Int64.to_int (Int64.logand (splitmix64 z) 0x3FFFFFFFFFFFFFFFL)
 
-let advance rng =
-  rng.state <- Int64.add (Int64.mul rng.state pcg_multiplier) rng.increment
-
 (* PCG-XSH-RR output function. *)
-let output state =
+let[@inline] output state =
   let xorshifted =
     Int64.to_int
       (Int64.logand
@@ -55,34 +70,40 @@ let output state =
   let rotated = (xorshifted lsr rot) lor (xorshifted lsl (32 - rot)) in
   rotated land 0xFFFFFFFF
 
-let uint32 rng =
-  let s = rng.state in
-  advance rng;
+let[@inline] uint32 rng =
+  let s = get64 rng state_at in
+  set64 rng state_at
+    (Int64.add (Int64.mul s pcg_multiplier) (get64 rng increment_at));
   output s
 
+(* Two successive draws as one 64-bit word, the first in the high half. *)
+let[@inline] word64 rng =
+  let hi = uint32 rng in
+  let lo = uint32 rng in
+  Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
+
+let split_into rng ~into =
+  let state_word = word64 rng in
+  let stream_word = word64 rng in
+  reset into ~state:(splitmix64 state_word) ~stream:(splitmix64 stream_word)
+
 let split rng =
-  let state_word =
-    Int64.logor (Int64.of_int (uint32 rng)) (Int64.shift_left (Int64.of_int (uint32 rng)) 32)
-  in
-  let stream_word =
-    Int64.logor (Int64.of_int (uint32 rng)) (Int64.shift_left (Int64.of_int (uint32 rng)) 32)
-  in
-  make ~state:(splitmix64 state_word) ~stream:(splitmix64 stream_word)
+  let child = Bytes.create size in
+  split_into rng ~into:child;
+  child
+
+(* Every split draws exactly four uniforms from its parent. *)
+let skip_splits rng n =
+  if n < 0 then invalid_arg "Rng.skip_splits: negative count";
+  for _ = 1 to 4 * n do
+    ignore (uint32 rng)
+  done
 
 let split_n rng n =
   if n < 0 then invalid_arg "Rng.split_n: negative count";
   Array.init n (fun _ -> split rng)
 
-let copy rng = { rng with state = rng.state }
-
-(* Overwrite [into] with [src]'s full state (stream selector and polar
-   spare included): the scratch-reuse form of [copy] for per-sample hot
-   loops, where a fresh record per sample would be pure garbage.  [src]
-   is not touched. *)
-let copy_into src ~into =
-  into.state <- src.state;
-  into.increment <- src.increment;
-  into.spare <- src.spare
+let copy = Bytes.copy
 
 let two_pow_32 = 1 lsl 32
 
@@ -100,7 +121,11 @@ let int rng bound =
     in
     draw ()
 
-let float rng = float_of_int (uint32 rng) *. 0x1p-32
+(* [float_of_int (uint32 rng) *. 0x1p-32], in C so that callers in
+   other modules get an unboxed result. *)
+external float : t -> (float[@unboxed])
+  = "nanodec_rng_float_byte" "nanodec_rng_float"
+[@@noalloc]
 
 let float_range rng ~min ~max =
   if not (min < max) then invalid_arg "Rng.float_range: empty range";
@@ -119,71 +144,30 @@ let rec polar_pair rng =
 
 let gaussian ?(mu = 0.) ?(sigma = 1.) rng =
   let z =
-    match rng.spare with
-    | Some z ->
-      rng.spare <- None;
-      z
-    | None ->
+    if get64 rng has_spare_at <> 0L then begin
+      set64 rng has_spare_at 0L;
+      Int64.float_of_bits (get64 rng spare_at)
+    end
+    else begin
       let z1, z2 = polar_pair rng in
-      rng.spare <- Some z2;
+      set64 rng spare_at (Int64.bits_of_float z2);
+      set64 rng has_spare_at 1L;
       z1
+    end
   in
   mu +. (sigma *. z)
+
+external add_gaussians :
+  t -> sigma:(float[@unboxed]) -> int array -> float array -> unit
+  = "nanodec_rng_add_gaussians_byte" "nanodec_rng_add_gaussians"
+[@@noalloc]
 
 (* The fused Gaussian loop's C stub reads and writes float arrays
    through Double_flat_field, which assumes the flat representation; a
    runtime configured without it would silently corrupt memory. *)
 let () =
   if Obj.tag (Obj.repr (Array.make 1 0.)) <> Obj.double_array_tag then
-    failwith "Rng: float arrays are not flat; the Fast stub needs them flat"
-
-(* Hot-loop mirror of the generator.  The public [t] keeps its friendly
-   representation (boxed int64 fields, [float option] spare) because every
-   existing consumer — and the bit-for-bit determinism contract — depends
-   on it; the mirror trades that for one unboxed Bigarray that the C
-   side (rng_stubs.c) reads and writes in place.  The output stream is
-   the same PCG-XSH-RR / Marsaglia polar sequence, bit-for-bit: [load]
-   then any number of draws then [store] leaves the source generator
-   exactly where the equivalent [gaussian] calls would have. *)
-module Fast = struct
-  type rng = t
-
-  (* [|state; increment; has_spare; spare|]: the PCG state and odd
-     stream increment, 1 when the last word holds the polar method's
-     cached second variate (as IEEE bits), else 0.  One flat block the
-     C side reads and writes in place. *)
-  type t = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  let create () =
-    let fast = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 4 in
-    Bigarray.Array1.fill fast 0L;
-    fast
-
-  let load (fast : t) (rng : rng) =
-    Bigarray.Array1.unsafe_set fast 0 rng.state;
-    Bigarray.Array1.unsafe_set fast 1 rng.increment;
-    match rng.spare with
-    | Some z ->
-      Bigarray.Array1.unsafe_set fast 2 1L;
-      Bigarray.Array1.unsafe_set fast 3 (Int64.bits_of_float z)
-    | None -> Bigarray.Array1.unsafe_set fast 2 0L
-
-  let store (fast : t) (rng : rng) =
-    rng.state <- Bigarray.Array1.unsafe_get fast 0;
-    rng.spare <-
-      (if Bigarray.Array1.unsafe_get fast 2 <> 0L then
-         Some (Int64.float_of_bits (Bigarray.Array1.unsafe_get fast 3))
-       else None)
-
-  external float : t -> (float[@unboxed])
-    = "nanodec_rng_fast_float_byte" "nanodec_rng_fast_float"
-  [@@noalloc]
-
-  external add_gaussians :
-    t -> sigma:(float[@unboxed]) -> int array -> float array -> unit
-    = "nanodec_rng_add_gaussians_byte" "nanodec_rng_add_gaussians"
-  [@@noalloc]
-end
+    failwith "Rng: float arrays are not flat; the Gaussian stub needs them flat"
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do

@@ -8,7 +8,9 @@
     reference algorithms. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: four machine words (PCG state, stream
+    selector, and the polar method's cached variate with its flag),
+    which the C Gaussian loop reads and writes in place. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator deterministically from [seed]. *)
@@ -29,21 +31,25 @@ val mix_seed : int -> int -> int
 
 val split : t -> t
 (** [split rng] derives a fresh generator whose stream is independent of
-    the parent's subsequent output (distinct PCG stream selector). *)
+    the parent's subsequent output (distinct PCG stream selector).  It
+    draws exactly four {!uint32}s from [rng]. *)
+
+val split_into : t -> into:t -> unit
+(** [split_into rng ~into] is {!split}[ rng] written over [into]: the
+    same draws from [rng], the same child stream, no polar spare — and
+    no allocation.  The per-sample stream derivation of the
+    Monte-Carlo engine's hot loop: one scratch generator per domain,
+    re-aimed at a new stream for every sample. *)
 
 val split_n : t -> int -> t array
 (** [split_n rng n] is [n] successive {!split}s. *)
 
+val skip_splits : t -> int -> unit
+(** [skip_splits rng n] leaves [rng] where [n] successive {!split}s
+    would, without deriving the children; the polar spare is kept. *)
+
 val copy : t -> t
 (** Snapshot of the current state; the copy evolves independently. *)
-
-val copy_into : t -> into:t -> unit
-(** [copy_into src ~into] overwrites [into] with [src]'s full state —
-    stream selector and cached polar spare included — so [into] then
-    draws exactly what {!copy}[ src] would, without allocating a record.
-    [src] is untouched.  The per-sample restart primitive of the
-    scheduler's hot loop: one scratch generator per domain, re-aimed at
-    a new stream for every sample. *)
 
 val uint32 : t -> int
 (** Next raw 32-bit draw in [0, 2^32). *)
@@ -52,8 +58,12 @@ val int : t -> int -> int
 (** [int rng bound] draws uniformly from [0, bound); unbiased (rejection
     sampling); [bound] must be in [1, 2^32]. *)
 
-val float : t -> float
-(** Uniform draw in [0, 1) with 32 bits of randomness. *)
+external float : t -> (float[@unboxed])
+  = "nanodec_rng_float_byte" "nanodec_rng_float"
+[@@noalloc]
+(** Uniform draw in [0, 1) with 32 bits of randomness.  A C primitive,
+    so a caller in any module gets an unboxed result, even when
+    cross-module inlining is off. *)
 
 val float_range : t -> min:float -> max:float -> float
 (** Uniform draw in [min, max). *)
@@ -61,68 +71,37 @@ val float_range : t -> min:float -> max:float -> float
 val bool : t -> bool
 
 val gaussian : ?mu:float -> ?sigma:float -> t -> float
-(** Normal draw via the Marsaglia polar method. *)
+(** Normal draw via the Marsaglia polar method.  Each accepted point
+    gives two variates; the second is cached in the generator and
+    returned by the next call. *)
 
-(** Unboxed hot-loop mirror of a generator.
+external add_gaussians :
+  t -> sigma:(float[@unboxed]) -> int array -> float array -> unit
+  = "nanodec_rng_add_gaussians_byte" "nanodec_rng_add_gaussians"
+[@@noalloc]
+(** [add_gaussians rng ~sigma targets noise] adds [gaussian ~sigma rng]
+    to [noise.(targets.(t))] for each [t] in order: bit for bit the
+    values, and the state and polar spare left behind, of that loop of
+    {!gaussian} calls.  It never allocates.
 
-    The public {!t} keeps its boxed representation because every consumer
-    and the determinism contract depend on it; [Fast] is a scratch state
-    in one unboxed int64 Bigarray, for inner loops
-    that draw thousands of Gaussians per sample.  Mirror discipline:
-    {!Fast.load} the source generator, draw, then {!Fast.store} back —
-    the source is left exactly where the equivalent {!gaussian} calls
-    would have left it, and the values drawn in between are bit-for-bit
-    the same stream.
+    It is one C loop (no OCaml version exists), bit-identical to
+    {!gaussian} because it repeats the same IEEE double operations:
+    the same PCG-XSH-RR step and 32-bit uniform, the same polar
+    acceptance test, the same libm [log] that OCaml's [log] calls, and
+    [sqrt], which IEEE 754 rounds correctly in both languages.  It is
+    compiled with [-ffp-contract=off], so no multiply-add is contracted
+    into an FMA (which would round once where OCaml rounds twice).  The
+    loop is pipelined: it draws up to 64 accepted points, then takes
+    their [log]/[sqrt] factors, then scatters the products in target
+    order — the draws and the arithmetic of each point are unchanged,
+    only independent points overlap.  The C side reads float arrays
+    flat; loading [Rng] fails if the runtime was configured without
+    flat float arrays.
 
-    {!Fast.add_gaussians} is one C loop (no OCaml version exists).  It
-    is bit-identical to {!gaussian} because it repeats the same IEEE
-    double operations in the same order: the same PCG-XSH-RR step and
-    32-bit uniform, the same polar acceptance test, the same libm [log]
-    that OCaml's [log] calls, and [sqrt], which IEEE 754 rounds
-    correctly in both languages.  It is compiled with
-    [-ffp-contract=off], so no multiply-add is contracted into an FMA
-    (which would round once where OCaml rounds twice).  The C side
-    reads float arrays flat; loading [Rng] fails if the runtime was
-    configured without flat float arrays.
-
-    Both draws are [external] C primitives, so a caller in another
-    module calls them directly with an unboxed result even when
-    cross-module inlining is off. *)
-module Fast : sig
-  type rng := t
-
-  type t
-  (** Mutable mirror state; reusable across [load]/[store] cycles. *)
-
-  val create : unit -> t
-
-  val load : t -> rng -> unit
-  (** Copy the source generator's state (including any cached polar
-      spare) into the mirror. *)
-
-  val store : t -> rng -> unit
-  (** Write the mirror's state back to the source generator. *)
-
-  external float : t -> (float[@unboxed])
-    = "nanodec_rng_fast_float_byte" "nanodec_rng_fast_float"
-  [@@noalloc]
-  (** Same stream as {!Rng.float}. *)
-
-  external add_gaussians :
-    t -> sigma:(float[@unboxed]) -> int array -> float array -> unit
-    = "nanodec_rng_add_gaussians_byte" "nanodec_rng_add_gaussians"
-  [@@noalloc]
-  (** [add_gaussians fast ~sigma targets noise] adds
-      [Rng.gaussian ~sigma] of the mirrored stream to
-      [noise.(targets.(t))] for each [t] in order: bit for bit the
-      values, and the state and polar spare left behind, of that loop
-      of {!gaussian} calls.  It never allocates.
-
-      {b Indices are unchecked}: every [targets.(t)] must lie in
-      [0, Array.length noise); an index outside it corrupts memory
-      instead of raising.  Callers validate their index arrays once,
-      when they build them (as [Kernel.compile] does). *)
-end
+    {b Indices are unchecked}: every [targets.(t)] must lie in
+    [0, Array.length noise); an index outside it corrupts memory
+    instead of raising.  Callers validate their index arrays once,
+    when they build them (as [Kernel.compile] does). *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

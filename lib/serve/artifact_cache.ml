@@ -112,9 +112,10 @@ let record_hit (t : _ t) cost_s =
   t.saved_s <- t.saved_s +. cost_s
 
 let timed build =
-  let t0 = Unix.gettimeofday () in
+  let now = Nanodec_telemetry.Telemetry.monotonic_s in
+  let t0 = now () in
   let v = build () in
-  (v, Unix.gettimeofday () -. t0)
+  (v, now () -. t0)
 
 let unwrap = function
   | Ok r -> r

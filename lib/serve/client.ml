@@ -1,4 +1,5 @@
 module E = Nanodec_error
+module Telemetry = Nanodec_telemetry.Telemetry
 
 type t = {
   fd : Unix.file_descr;
@@ -16,7 +17,9 @@ let describe = function
 
 let connect ?(attempts = 40) ?timeout_s address =
   Option.iter (E.check_timeout_s ~what:"timeout") timeout_s;
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
+  let deadline =
+    Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s
+  in
   let domain, addr = sockaddr_of address in
   let rec attempt left =
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
@@ -27,7 +30,7 @@ let connect ?(attempts = 40) ?timeout_s address =
       when left > 1 ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       (match deadline with
-      | Some dl when Unix.gettimeofday () +. 0.05 >= dl ->
+      | Some dl when Telemetry.monotonic_s () +. 0.05 >= dl ->
         E.fail (E.Timeout { site = "client.connect"; seconds = timeout_s })
       | Some _ | None -> ());
       Unix.sleepf 0.05;
@@ -64,7 +67,9 @@ let request t line =
   write_all t.fd "\n";
   (* One deadline for the whole response, not per read: a daemon
      dribbling bytes forever is exactly the wedge this guards. *)
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) t.timeout_s in
+  let deadline =
+    Option.map (fun s -> Telemetry.monotonic_s () +. s) t.timeout_s
+  in
   let timed_out () =
     E.fail (E.Timeout { site = "client.read"; seconds = t.timeout_s })
   in
@@ -76,7 +81,7 @@ let request t line =
       (match deadline with
       | None -> ()
       | Some dl -> (
-        let remaining = dl -. Unix.gettimeofday () in
+        let remaining = dl -. Telemetry.monotonic_s () in
         if remaining <= 0. then timed_out ();
         match Unix.select [ t.fd ] [] [] remaining with
         | [], _, _ -> timed_out ()

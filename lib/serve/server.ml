@@ -153,7 +153,7 @@ let wake t =
    EBADF/EPIPE: [close] raced us, the loop is gone anyway. *)
 
 let execute_line t ~key ~line =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.monotonic_s () in
   let response =
     match
       Fault.hit (fault t) ~key "serve.dispatch";
@@ -168,7 +168,8 @@ let execute_line t ~key ~line =
       | Some err -> Protocol.error_line err
       | None -> Protocol.error_line (E.internal (Printexc.to_string exn)))
   in
-  Telemetry.record (sink t) "serve.request_s" (Unix.gettimeofday () -. t0);
+  Telemetry.record (sink t) "serve.request_s"
+    (Telemetry.monotonic_s () -. t0);
   Telemetry.count (sink t) "serve.requests" 1;
   response
 
@@ -226,7 +227,7 @@ let scheduler_view t () =
     queued;
     shed;
     snapshot_age_s =
-      Option.map (fun ts -> Unix.gettimeofday () -. ts) t.snapshot_time;
+      Option.map (fun ts -> Telemetry.monotonic_s () -. ts) t.snapshot_time;
   }
 
 (* --- lifecycle --- *)
@@ -312,7 +313,7 @@ let create ?(backlog = 16) ?(max_line_bytes = default_max_line_bytes)
       next_conn_id = 0;
       next_key = 0;
       term_requested = false;
-      last_snapshot_check = Unix.gettimeofday ();
+      last_snapshot_check = Telemetry.monotonic_s ();
       last_snapshot_mark = 0;
       snapshot_time = None;
       snapshot_ordinal = 0;
@@ -462,7 +463,7 @@ let feed t conn data n =
     | None ->
       if not conn.discarding then begin
         if Buffer.length conn.inbuf = 0 && !pos < n then
-          conn.line_started <- Some (Unix.gettimeofday ());
+          conn.line_started <- Some (Telemetry.monotonic_s ());
         Buffer.add_subbytes conn.inbuf data !pos (n - !pos);
         if Buffer.length conn.inbuf > t.max_line_bytes then begin
           oversized t conn;
@@ -489,7 +490,7 @@ let handle_readable t conn =
        dispatched is still answered before the close. *)
     if settled conn then drop_conn t conn else conn.closing <- true
   | n ->
-    conn.last_activity <- Unix.gettimeofday ();
+    conn.last_activity <- Telemetry.monotonic_s ();
     feed t conn t.read_buf n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
@@ -533,7 +534,7 @@ let handle_accept t =
         next_seq = 0;
         next_write = 0;
         pending = Hashtbl.create 8;
-        last_activity = Unix.gettimeofday ();
+        last_activity = Telemetry.monotonic_s ();
         line_started = None;
       }
       :: t.conns
@@ -570,12 +571,13 @@ let check_idle t ~now =
    joined.  Complete lines that were read before the stop are all
    answered; only unread bytes are abandoned. *)
 let drain t =
-  let deadline = Unix.gettimeofday () +. 30.0 in
+  let deadline = Telemetry.monotonic_s () +. 30.0 in
   let rec settle () =
     drain_completions t;
     let waiting = List.exists (fun c -> c.next_write < c.next_seq) t.conns in
     let writers = List.filter unflushed t.conns in
-    if (waiting || writers <> []) && Unix.gettimeofday () < deadline then begin
+    if (waiting || writers <> []) && Telemetry.monotonic_s () < deadline
+    then begin
       match
         Unix.select [ t.wake_r ] (List.map (fun c -> c.fd) writers) [] 0.5
       with
@@ -592,7 +594,7 @@ let drain t =
     end
   in
   settle ();
-  maybe_snapshot t ~now:(Unix.gettimeofday ()) ~force:true;
+  maybe_snapshot t ~now:(Telemetry.monotonic_s ()) ~force:true;
   stop_workers t ~join:true;
   close t
 
@@ -609,7 +611,7 @@ let serve t =
       drain_completions t;
       if Protocol.stopping t.state || t.term_requested then drain t
       else begin
-        let now = Unix.gettimeofday () in
+        let now = Telemetry.monotonic_s () in
         check_idle t ~now;
         maybe_snapshot t ~now ~force:false;
         let reads =

@@ -25,6 +25,15 @@ val create : ?clock:(unit -> float) -> unit -> sink
 val now : sink -> float
 (** Seconds since the sink was created, by the sink's clock. *)
 
+external monotonic_s : unit -> (float[@unboxed])
+  = "nanodec_telemetry_monotonic_s_byte" "nanodec_telemetry_monotonic_s"
+[@@noalloc]
+(** Seconds on CLOCK_MONOTONIC, from an arbitrary origin: the clock for
+    every deadline and duration (pool job deadlines, the daemon's
+    request, idle and snapshot timers, client timeouts).  No wall-clock
+    step (NTP, a manual reset) moves it; only differences of two
+    readings mean anything. *)
+
 (** {1 Spans}
 
     Nestable regions of wall-clock time.  Nesting is tracked per domain:

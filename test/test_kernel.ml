@@ -1,5 +1,5 @@
-(* The compiled MC kernel layer (Kernel / Rng.Fast / Workspace) and the
-   satellite fast paths of the same PR: sort-based pass extraction,
+(* The compiled MC kernel layer (Kernel / Rng.add_gaussians / Workspace)
+   and the satellite fast paths of the same PR: sort-based pass extraction,
    sorted-array code metrics, precomputed-nu variability.  The central
    claim everywhere is bit-for-bit equivalence with the slower reference
    implementation. *)
@@ -107,36 +107,41 @@ let test_kernel_draw_accounting () =
         (Kernel.draws_per_sample k))
     families
 
-let test_fast_mirror_stream () =
-  (* Rng.Fast.add_gaussians (the C loop) must equal a loop of
-     Rng.gaussian calls: the sums it writes, bit for bit, for runs of
-     every length, onto scattered and repeated indices; the polar spare
-     carried across each store/load boundary (odd runs leave one); and
-     the generator left where the uniform after the run agrees. *)
+let test_gaussian_stream_batches () =
+  (* Rng.add_gaussians (the pipelined C loop, 64 accepted points per
+     batch) must equal a loop of Rng.gaussian calls: the sums it
+     writes, bit for bit, onto scattered and repeated indices, for runs
+     of every length from 0 to 300 and of 1000 — odd and even, inside
+     one batch and across up to eight.  The two generators run on
+     without reset, so an odd run's cached spare carries into the next
+     call, and one uniform drawn between runs checks that both are left
+     at the same state. *)
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
-  let fast = Rng.Fast.create () in
   let bits = Array.map Int64.bits_of_float in
-  for k = 0 to 17 do
-    let sigma = 0.05 *. float_of_int (1 + (k mod 3)) in
-    (* 0, 3, 1, 4, 2, 0, 3, ... over a plane of 5: every index is hit
-       out of order, and runs longer than 5 repeat them. *)
-    let targets = Array.init k (fun t -> t * 3 mod 5) in
-    let expected = Array.init 5 (fun i -> 0.25 *. float_of_int i) in
-    let noise = Array.copy expected in
-    Array.iter
-      (fun i -> expected.(i) <- expected.(i) +. Rng.gaussian ~sigma a)
-      targets;
-    Rng.Fast.load fast b;
-    Rng.Fast.add_gaussians fast ~sigma targets noise;
-    Rng.Fast.store fast b;
-    Alcotest.(check (array int64))
-      (Printf.sprintf "gaussian run of %d" k)
-      (bits expected) (bits noise);
-    Alcotest.(check int64)
-      (Printf.sprintf "uniform draw after run of %d" k)
-      (Int64.bits_of_float (Rng.float a))
-      (Int64.bits_of_float (Rng.float b))
-  done
+  List.iter
+    (fun k ->
+      let sigma = 0.05 *. float_of_int (1 + (k mod 3)) in
+      (* 0, 3, 1, 4, 2, 0, 3, ... over a plane of 5: every index is hit
+         out of order, and runs longer than 5 repeat them. *)
+      let targets = Array.init k (fun t -> t * 3 mod 5) in
+      let expected = Array.init 5 (fun i -> 0.25 *. float_of_int i) in
+      let noise = Array.copy expected in
+      Array.iter
+        (fun i -> expected.(i) <- expected.(i) +. Rng.gaussian ~sigma a)
+        targets;
+      Rng.add_gaussians b ~sigma targets noise;
+      Alcotest.(check (array int64))
+        (Printf.sprintf "gaussian run of %d" k)
+        (bits expected) (bits noise);
+      if k mod 7 = 0 then
+        Alcotest.(check int64)
+          (Printf.sprintf "uniform draw after run of %d" k)
+          (Int64.bits_of_float (Rng.float a))
+          (Int64.bits_of_float (Rng.float b)))
+    (List.init 301 Fun.id @ [ 1000; 999 ]);
+  Alcotest.(check int64) "final uniform"
+    (Int64.bits_of_float (Rng.float a))
+    (Int64.bits_of_float (Rng.float b))
 
 (* --- estimates with no reference oracle, pinned bit for bit ---
 
@@ -209,36 +214,63 @@ let test_golden_estimate_bits () =
 let test_alloc_per_sample () =
   (* Without a context the estimator runs on this domain alone, so the
      minor-heap word count is deterministic.  A precompiled kernel keeps
-     the one-off compile out of the count.  What remains per sample is
-     the engine's own bookkeeping (the sample's split stream and its
-     write-back), not the draw; the per-cell Gaussian the importance
-     draw once called allocated hundreds of words per sample. *)
+     the one-off compile out of the count, and differencing a run of
+     [2n] samples against one of [n] (both cut into the same 64 chunks)
+     keeps out every per-run and per-chunk cost: what is left is what
+     each sample allocates.  Plain and importance keep only the boxed
+     float their target returns (2 words): the sample's stream is
+     derived in place and the draws allocate nothing.  Stratified adds
+     its [Special.normal_quantile] call. *)
   let samples = 600 in
   List.iter
     (fun (ct, m) ->
       let a = analysis_of ct m in
       let kernel = Cave.kernel_of_analysis a in
       List.iter
-        (fun strategy ->
-          let spec = Montecarlo.spec ~strategy (Montecarlo.fixed samples) in
-          let run () =
-            ignore
-              (Cave.mc_yield_window_par ~spec ~kernel (Rng.create ~seed:3)
-                 ~samples a)
+        (fun (strategy, bound) ->
+          let run samples =
+            let spec = Montecarlo.spec ~strategy (Montecarlo.fixed samples) in
+            let before = Gc.minor_words () in
+            let e =
+              Cave.mc_yield_window_par ~spec ~kernel (Rng.create ~seed:3)
+                ~samples a
+            in
+            (Gc.minor_words () -. before, e.Montecarlo.samples)
           in
-          run ();
-          let before = Gc.minor_words () in
-          run ();
-          let per_sample =
-            (Gc.minor_words () -. before) /. float_of_int samples
-          in
-          if per_sample > 64. then
-            Alcotest.failf "%s M=%d %s: %.1f words per sample (> 64)"
+          ignore (run samples);
+          let words_n, n = run samples in
+          let words_2n, n2 = run (2 * samples) in
+          let per_sample = (words_2n -. words_n) /. float_of_int (n2 - n) in
+          if per_sample > bound then
+            Alcotest.failf "%s M=%d %s: %.2f words per sample (> %g)"
               (Codebook.name ct) m
               (Montecarlo.strategy_name strategy)
-              per_sample)
-        [ Montecarlo.Plain; Montecarlo.Importance 1.0 ])
+              per_sample bound)
+        [
+          (Montecarlo.Plain, 4.);
+          (Montecarlo.Importance 1.0, 4.);
+          (Montecarlo.Stratified 16, 28.);
+        ])
     [ (Codebook.Tree, 6); (Codebook.Hot, 4); (Codebook.Balanced_gray, 10) ]
+
+let test_heap_per_sample () =
+  (* The engine's own footprint: 200,000 samples of a target that
+     allocates nothing cost the result slot (8 B) and a snapshot per
+     chunk, not a materialised generator per sample (~97 B each when
+     the streams were split up front). *)
+  let samples = 200_000 in
+  let run () =
+    ignore
+      (Montecarlo.run (Montecarlo.spec (Montecarlo.fixed samples))
+         (Rng.create ~seed:4)
+         (Montecarlo.target (fun _ -> 0.5)))
+  in
+  run ();
+  let before = Gc.allocated_bytes () in
+  run ();
+  let per_sample = (Gc.allocated_bytes () -. before) /. float_of_int samples in
+  if per_sample > 16. then
+    Alcotest.failf "%.1f bytes allocated per sample (> 16)" per_sample
 
 (* --- satellite: sort-based pass extraction pins the historical order --- *)
 
@@ -353,12 +385,14 @@ let suite =
       test_sequential_kernel_path;
     Alcotest.test_case "compiled program size equals sum(nu)" `Quick
       test_kernel_draw_accounting;
-    Alcotest.test_case "Rng.Fast mirrors the gaussian stream" `Quick
-      test_fast_mirror_stream;
+    Alcotest.test_case "add_gaussians = gaussian loop across batches" `Quick
+      test_gaussian_stream_batches;
     Alcotest.test_case "estimate bits pinned (plain/importance/stratified)"
       `Quick test_golden_estimate_bits;
-    Alcotest.test_case "draws allocate <= 64 words per sample" `Quick
+    Alcotest.test_case "draws allocate <= 4 words per sample" `Quick
       test_alloc_per_sample;
+    Alcotest.test_case "engine allocates <= 16 B per sample" `Quick
+      test_heap_per_sample;
     Alcotest.test_case "pass order regression (sort-based dedup)" `Quick
       test_pass_order_regression;
     Alcotest.test_case "pass eps merge keeps first occurrence" `Quick

@@ -107,6 +107,27 @@ let test_split_n_deterministic_and_distinct () =
         s)
     s
 
+let test_split_into_equals_split () =
+  (* 10,000 splits: [split_into] over one reused scratch (left holding a
+     cached polar spare before each re-aim) derives the same child as a
+     fresh [split], and both parents advance alike; [skip_splits] then
+     lands where [split_n] does. *)
+  let a = Rng.create ~seed:2009 and b = Rng.create ~seed:2009 in
+  let scratch = Rng.create ~seed:1 in
+  for i = 1 to 10_000 do
+    ignore (Rng.gaussian scratch);
+    let child = Rng.split a in
+    Rng.split_into b ~into:scratch;
+    let draws g = (Rng.uint32 g, Int64.bits_of_float (Rng.gaussian g)) in
+    if draws child <> draws scratch || Rng.gaussian child <> Rng.gaussian scratch
+    then Alcotest.failf "split %d: split_into differs from split" i
+  done;
+  Alcotest.(check int) "parents agree" (Rng.uint32 a) (Rng.uint32 b);
+  ignore (Rng.split_n a 37);
+  Rng.skip_splits b 37;
+  Alcotest.(check int) "skip_splits lands where split_n does" (Rng.uint32 a)
+    (Rng.uint32 b)
+
 let test_uint32_range () =
   let rng = Rng.create ~seed:11 in
   for _ = 1 to 1000 do
@@ -224,6 +245,8 @@ let suite =
       test_of_seed_and_of_int64_agree;
     Alcotest.test_case "split_n deterministic and distinct" `Quick
       test_split_n_deterministic_and_distinct;
+    Alcotest.test_case "split_into = split (10k splits)" `Quick
+      test_split_into_equals_split;
     Alcotest.test_case "uint32 range" `Quick test_uint32_range;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int covers residues" `Quick test_int_covers_all_values;
