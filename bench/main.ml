@@ -405,8 +405,6 @@ let json_escape s =
 let stage_counters = [
   "pool.jobs"; "pool.jobs.sequential"; "pool.jobs.inline_nested";
   "pool.chunks.submitter"; "pool.chunks.worker"; "pool.batches";
-  "pool.autotune.jobs"; "pool.autotune.chunks"; "pool.autotune.batch";
-  "pool.autotune.measured"; "pool.autotune.fallback";
   "optimizer.candidates"; "mc.samples";
 ]
 
@@ -747,7 +745,7 @@ let gate_kernel_speedup (aggregate, all_identical) =
    reweights exactly, which is where the 10x comes from.
 
    A determinism battery reruns the best strategy across domain counts
-   1/2/4, chunking policies and batch sizes — any drift fails the
+   1/2/4 under Auto and two Fixed chunkings — any drift fails the
    process, exactly like the parallel bench's gate.
 
    --gate-vr-samples RATIO fails the process unless at least 3
@@ -841,18 +839,18 @@ let run_mc_json ~quick =
         let baseline = Montecarlo.run spec (Rng.create ~seed:7) target in
         let deterministic =
           List.for_all
-            (fun (domains, chunking, batch) ->
-              Run_ctx.with_ctx ~domains ~chunking ?batch ~warn:false
-                (fun ctx ->
+            (fun (domains, chunking) ->
+              Run_ctx.with_ctx ~domains ~chunking ~warn:false (fun ctx ->
                   Montecarlo.run ~ctx spec (Rng.create ~seed:7) target
                   = baseline))
-            [
-              (1, Run_ctx.Fixed 5, None);
-              (2, Run_ctx.Auto, None);
-              (2, Run_ctx.Fixed 16, Some 4);
-              (4, Run_ctx.Auto, None);
-              (4, Run_ctx.Fixed 3, Some 2);
-            ]
+            (List.concat_map
+               (fun domains ->
+                 [
+                   (domains, Run_ctx.Auto);
+                   (domains, Run_ctx.Fixed 3);
+                   (domains, Run_ctx.Fixed 16);
+                 ])
+               [ 1; 2; 4 ])
         in
         let _, _, _, best_vr, best_ok =
           List.find (fun (s, _, _, _, _) -> s = best_name) cells

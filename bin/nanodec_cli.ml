@@ -191,9 +191,9 @@ module Ctx_flags = struct
     let chunks_arg =
       let doc =
         "Monte-Carlo scheduling chunks: $(b,auto) (default) sizes chunks \
-         and batches from the measured per-sample cost, $(b,N) forces \
-         exactly N chunks.  Pure scheduling — estimates are bit-for-bit \
-         identical either way."
+         and batches from the sample count and the domain count alone, \
+         $(b,N) forces exactly N chunks.  Pure scheduling — estimates \
+         are bit-for-bit identical either way."
       in
       Arg.(value & opt string "auto" & info [ "chunks" ] ~docv:"auto|N" ~doc)
     in

@@ -213,8 +213,10 @@ let mc_yield_window_par ?ctx ?spec ?kernel rng ~samples analysis =
 let mc_yield_window_reference ?ctx rng ~samples analysis =
   let passes = passes_of_analysis analysis in
   let w = window analysis.config in
-  Montecarlo.estimate_par ?ctx rng ~samples
-    (mc_window_draw analysis ~passes ~w)
+  Montecarlo.run ?ctx
+    (Montecarlo.spec (Montecarlo.fixed samples))
+    rng
+    (Montecarlo.target (mc_window_draw analysis ~passes ~w))
 
 let mc_yield_functional rng ~samples analysis =
   let passes = passes_of_analysis analysis in
@@ -254,4 +256,5 @@ let mc_yield_functional rng ~samples analysis =
       groups;
     float_of_int !good /. float_of_int n
   in
-  Montecarlo.estimate rng ~samples one_draw
+  Montecarlo.run (Montecarlo.spec (Montecarlo.fixed samples)) rng
+    (Montecarlo.target one_draw)

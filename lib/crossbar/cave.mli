@@ -91,8 +91,8 @@ val mc_yield_window_par :
 (** Monte-Carlo re-estimate of the analytic yield by sampling
     fabrication noise through the process simulator and applying the
     window test, on {!Montecarlo.run} over the compiled {!Kernel}: the
-    result is bit-for-bit identical for every chunking, batch size and
-    domain count (including no context or no pool) {e and} — on the
+    result is bit-for-bit identical for every chunking and domain
+    count (including no context or no pool) {e and} — on the
     plain strategy — to {!mc_yield_window_reference} of the same
     arguments.  All shared state (the compiled pass program) is
     computed once before the fan-out, never per chunk; chunk bodies

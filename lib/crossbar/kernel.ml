@@ -271,13 +271,6 @@ let draw k rng =
   fill_noise k ws rng;
   scan_yield k ws.noise
 
-(* The window predicate is even in the noise vector (every comparison
-   is on |z|), so an antithetic pair's average is the single draw's
-   value exactly — the pair costs one set of Gaussians instead of two.
-   Unbiasedness is the plain draw's; the variance reduction on this
-   integrand is nil by symmetry, which the strategy oracle checks. *)
-let draw_antithetic k rng = draw k rng
-
 let draw_stratified k ~strata ~stratum rng =
   if k.strat_cell < 0 then draw k rng
   else begin
@@ -287,13 +280,15 @@ let draw_stratified k ~strata ~stratum rng =
        the 2^-33 nudge keeps the quantile argument strictly inside
        (0, 1) even at u = 0. *)
     let u = Rng.float rng in
-    let p =
-      (float_of_int stratum +. u +. 0x1p-33) /. float_of_int strata
-    in
     (* Replace the dominant cell's dose-by-dose sum with an equal-law
        stratified total: valid because cells are independent, so the
-       conditional joint given the stratum factorizes. *)
-    ws.noise.(k.strat_cell) <- Special.normal_quantile ~sigma:k.strat_sigma p;
+       conditional joint given the stratum factorizes.  The stratum's
+       probability goes through the cell's slot, so no float crosses a
+       call boxed. *)
+    ws.noise.(k.strat_cell) <-
+      (float_of_int stratum +. u +. 0x1p-33) /. float_of_int strata;
+    Special.normal_quantile_in_place ~sigma:k.strat_sigma ws.noise
+      k.strat_cell;
     scan_yield k ws.noise
   end
 
@@ -366,8 +361,14 @@ let draw_importance k ~shift rng =
   done;
   (float_of_int k.n_usable -. !fail_sum) /. float_of_int k.n
 
+(* The window predicate is even in the noise vector (every comparison
+   is on |z|), so an antithetic pair's average is the single draw's
+   value exactly — the pair costs one set of Gaussians instead of two,
+   and the antithetic evaluator is [draw] itself.  Unbiasedness is the
+   plain draw's; the variance reduction on this integrand is nil by
+   symmetry, which the strategy oracle checks. *)
 let target k =
-  Montecarlo.target ~antithetic:(draw_antithetic k)
+  Montecarlo.target ~antithetic:(draw k)
     ~stratified:(fun ~strata ~stratum g -> draw_stratified k ~strata ~stratum g)
     ~importance:(fun ~shift g -> draw_importance k ~shift g)
     (draw k)

@@ -70,13 +70,6 @@ val n_passes : t -> int
     {!compile}.  Callers normally reach them through {!target} rather
     than directly. *)
 
-val draw_antithetic : t -> Rng.t -> float
-(** The antithetic pair's average.  The window predicate is even in
-    the noise vector, so this equals {!draw}'s value on the same
-    stream — the pair is a draw-cost optimisation (one Gaussian set
-    for two samples' worth of the pair), not a variance reduction, on
-    this integrand. *)
-
 val draw_stratified : t -> strata:int -> stratum:int -> Rng.t -> float
 (** {!draw}, except the globally dominant cell's total (the max-σ cell
     on a usable wire) is redrawn from stratum [stratum] of [strata]
@@ -96,4 +89,8 @@ val draw_importance : t -> shift:float -> Rng.t -> float
 val target : t -> Nanodec_numerics.Montecarlo.target
 (** The fully-equipped Monte-Carlo target of this kernel: {!draw} as
     the plain integrand plus all three strategy evaluators — what
-    {!Cave.mc_yield_window_par} hands to [Montecarlo.run]. *)
+    {!Cave.mc_yield_window_par} hands to [Montecarlo.run].  The
+    antithetic evaluator is {!draw} itself: the window predicate is
+    even in the noise vector, so a sign-mirrored pair's average is the
+    single draw's value — a draw-cost optimisation (one Gaussian set
+    per pair), not a variance reduction, on this integrand. *)

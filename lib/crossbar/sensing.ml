@@ -104,4 +104,5 @@ let mc_sense_yield ?(params = default_params) rng ~samples analysis =
       pads;
     float_of_int !readable /. float_of_int n
   in
-  Montecarlo.estimate rng ~samples one_draw
+  Montecarlo.run (Montecarlo.spec (Montecarlo.fixed samples)) rng
+    (Montecarlo.target one_draw)

@@ -17,18 +17,6 @@ let of_mean_se ~samples ~mean ~std_error =
     ci95_high = mean +. (z95 *. std_error);
   }
 
-let estimate_proportion rng ~samples f =
-  if samples < 2 then
-    invalid_arg "Montecarlo.estimate_proportion: need >= 2 samples";
-  let hits = ref 0 in
-  for _ = 1 to samples do
-    if f rng then incr hits
-  done;
-  let n = float_of_int samples in
-  let p = float_of_int !hits /. n in
-  let std_error = sqrt (p *. (1. -. p) /. n) in
-  of_mean_se ~samples ~mean:p ~std_error
-
 (* --- the unified estimator ---
 
    One engine runs every (strategy x stopping rule) combination.  The
@@ -38,8 +26,7 @@ let estimate_proportion rng ~samples f =
    result slot, and the slots are folded sequentially in sample
    order once the fan-out joins.  The estimate is therefore a pure
    function of (seed, spec, target): chunk count, batch size, domain
-   count and scheduling order can all move freely — including per
-   machine, via {!Nanodec_parallel.Autotune} — without touching a
+   count and scheduling order can all move freely without touching a
    single result bit.  The streams are never materialised: before the
    fan-out one sequential walk snapshots the root at each chunk's first
    sample ([Rng.skip_splits]), and the chunk body derives each sample's
@@ -57,13 +44,13 @@ let estimate_proportion rng ~samples f =
    decision after each round is too.
 
    Telemetry wraps the chunk bodies with pure observation (per-chunk
-   wall time, sample counters, end-to-end rate) and steers only the
-   scheduling plan, never the draw streams or the merge order, so an
-   instrumented estimate equals the bare one exactly. *)
+   wall time, sample counters, end-to-end rate) and steers nothing:
+   the scheduling plan is a function of (samples, domains) alone, so
+   an instrumented run executes the same schedule as the bare one and
+   its estimate is the same bits. *)
 
 module Telemetry = Nanodec_telemetry.Telemetry
 module Run_ctx = Nanodec_parallel.Run_ctx
-module Autotune = Nanodec_parallel.Autotune
 module Workspace = Nanodec_parallel.Workspace
 module Pool = Nanodec_parallel.Pool
 module Fault = Nanodec_fault.Fault
@@ -213,9 +200,7 @@ let align_samples strategy n =
     (n + k - 1) / k * k
   | Plain | Antithetic | Importance _ -> n
 
-(* --- scheduling scaffolding (unchanged discipline) --- *)
-
-let default_chunks = 64
+(* --- scheduling --- *)
 
 (* One scratch generator per domain, allocated on first use and re-aimed
    ([Rng.split_into]) at a fresh split stream for every sample — the hot
@@ -229,89 +214,20 @@ let scratch_rng : Rng.t Workspace.t =
 let chunk_lo ~samples ~chunks i =
   (i * (samples / chunks)) + min i (samples mod chunks)
 
-(* [sample_body root ~samples ~chunks f] is the chunk body that calls
-   [f s g] for every sample [s] of its chunk in order, [g] drawing the
-   stream of [(Rng.split_n root samples).(s)].  [root] is walked once,
-   here, sequentially: it is snapshotted at each chunk's first sample
-   and left where [samples] splits leave it.  The body derives its
-   streams from a copy of the chunk's snapshot, so a retried chunk
-   re-derives the same streams. *)
-let sample_body root ~samples ~chunks f =
-  let starts =
-    Array.init chunks (fun i ->
-        let start = Rng.copy root in
-        Rng.skip_splits root
-          (chunk_lo ~samples ~chunks (i + 1) - chunk_lo ~samples ~chunks i);
-        start)
-  in
-  fun i ->
-    let parent = Rng.copy starts.(i) in
-    let g = Workspace.get scratch_rng in
-    for s = chunk_lo ~samples ~chunks i to chunk_lo ~samples ~chunks (i + 1) - 1
-    do
-      Rng.split_into parent ~into:g;
-      f s g
-    done
-
-(* How the job is cut: the context's [Fixed] policy wins, otherwise the
-   autotuner sizes the plan.  Only the autotuned path records
-   [pool.autotune.*] — fixed plans are the caller's decision, not the
-   tuner's.  The context's [batch] overrides the plan's batch either
-   way. *)
-let resolve_plan ~ctx ~samples =
-  let tel = Run_ctx.telemetry ctx in
-  let plan =
-    match Run_ctx.chunking ctx with
-    | Run_ctx.Fixed c -> { Autotune.chunks = c; batch = 1; per_sample_ns = None }
-    | Run_ctx.Auto ->
-      let domains =
-        match Run_ctx.pool ctx with Some p -> Pool.domains p | None -> 1
-      in
-      let plan = Autotune.plan ?telemetry:tel ~domains ~samples () in
-      Autotune.record tel plan;
-      plan
-  in
-  match Run_ctx.batch ctx with
-  | Some b -> { plan with Autotune.batch = b }
-  | None -> plan
-
-(* Shared fan-out/observe scaffolding of every estimate round: time
-   each chunk into [mc.chunk_s], probe the [mc.sample_batch] fault site
-   per chunk, count the samples and record the round's rate.  [body i]
-   fills the sample slots of chunk [i] and must be restartable. *)
-let run_chunks ~ctx ~chunks ~batch ~samples body =
-  let tel = Run_ctx.telemetry ctx in
-  let fault = Run_ctx.fault ctx in
-  let body =
-    match fault with
-    | None -> body
-    | Some _ ->
-      (* Inside the chunk body, so the pool's retry/degradation
-         machinery covers injected batch crashes like its own site. *)
-      fun i ->
-        Fault.hit fault ~key:i "mc.sample_batch";
-        body i
-  in
-  let body =
-    match tel with
-    | None -> body
-    | Some sink ->
-      let h = Telemetry.histogram sink "mc.chunk_s" in
-      fun i ->
-        let t0 = Telemetry.now sink in
-        body i;
-        Telemetry.observe h (Telemetry.now sink -. t0)
-  in
-  Telemetry.with_span tel "mc.estimate_par" @@ fun () ->
-  let t0 = match tel with Some s -> Telemetry.now s | None -> 0. in
-  Run_ctx.parallel_for ~batch ctx ~chunks body;
-  match tel with
-  | Some sink ->
-    Telemetry.count tel "mc.samples" samples;
-    let dt = Telemetry.now sink -. t0 in
-    if dt > 0. then
-      Telemetry.record tel "mc.samples_per_sec" (float_of_int samples /. dt)
-  | None -> ()
+(* How a round of [samples] draws is cut, as (chunks, batch): the
+   context's [Fixed c] is the caller's chunk count, claimed one at a
+   time; [Auto] is a pure function of (samples, domains) — at least 64
+   chunks (8 per domain on wide pools) so the pool load-balances, each
+   domain claiming about a quarter of its share per atomic claim. *)
+let plan ~ctx ~samples =
+  match Run_ctx.chunking ctx with
+  | Run_ctx.Fixed chunks -> (chunks, 1)
+  | Run_ctx.Auto ->
+    let domains =
+      match Run_ctx.pool ctx with Some p -> max 1 (Pool.domains p) | None -> 1
+    in
+    let chunks = min samples (max 64 (8 * domains)) in
+    (chunks, max 1 (chunks / (4 * domains)))
 
 (* --- merge bookkeeping ---
 
@@ -399,26 +315,69 @@ let converged ~rel_error acc =
 let run ?ctx s rng target =
   validate_spec "Montecarlo.run" s;
   let ctx = Run_ctx.resolve ?ctx () in
+  let tel = Run_ctx.telemetry ctx and fault = Run_ctx.fault ctx in
   let eval = evaluator s target in
   let acc = make_acc s.strategy in
-  let run_round ~base root round_n =
-    let plan = resolve_plan ~ctx ~samples:round_n in
-    let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
-    let values = Array.make round_n 0. in
-    let body =
-      sample_body root ~samples:round_n ~chunks (fun s g ->
-          values.(s) <- eval ~index:(base + s) g)
+  (* One round of [samples] draws whose streams are those of
+     [Rng.split_n root samples].  [root] is walked once, here,
+     sequentially: it is snapshotted at each chunk's first sample and
+     left where [samples] splits leave it.  A chunk body derives its
+     streams from a copy of its snapshot and writes only its own slots,
+     so a retried chunk reproduces the same values. *)
+  let run_round ~base root samples =
+    let chunks, batch = plan ~ctx ~samples in
+    let lo i = chunk_lo ~samples ~chunks i in
+    let starts =
+      Array.init chunks (fun i ->
+          let start = Rng.copy root in
+          Rng.skip_splits root (lo (i + 1) - lo i);
+          start)
     in
-    run_chunks ~ctx ~chunks ~batch ~samples:round_n body;
+    let values = Array.make samples 0. in
+    let body i =
+      let parent = Rng.copy starts.(i) in
+      let g = Workspace.get scratch_rng in
+      for j = lo i to lo (i + 1) - 1 do
+        Rng.split_into parent ~into:g;
+        values.(j) <- eval ~index:(base + j) g
+      done
+    in
+    let body =
+      match fault with
+      | None -> body
+      | Some _ ->
+        (* Inside the chunk body, so the pool's retry/degradation
+           machinery covers injected batch crashes like its own site. *)
+        fun i ->
+          Fault.hit fault ~key:i "mc.sample_batch";
+          body i
+    in
+    let body =
+      match tel with
+      | None -> body
+      | Some sink ->
+        let h = Telemetry.histogram sink "mc.chunk_s" in
+        fun i ->
+          let t0 = Telemetry.now sink in
+          body i;
+          Telemetry.observe h (Telemetry.now sink -. t0)
+    in
+    (Telemetry.with_span tel "mc.run" @@ fun () ->
+     let t0 = match tel with Some sink -> Telemetry.now sink | None -> 0. in
+     Run_ctx.parallel_for ~batch ctx ~chunks body;
+     match tel with
+     | Some sink ->
+       Telemetry.count tel "mc.samples" samples;
+       let dt = Telemetry.now sink -. t0 in
+       if dt > 0. then
+         Telemetry.record tel "mc.samples_per_sec" (float_of_int samples /. dt)
+     | None -> ());
     merge_round acc ~base values
   in
   (match s.stopping with
   | Fixed_samples n ->
-    (* One round, streams split directly off the caller's generator —
-       for [Plain] this reproduces the historical estimate_par bits
-       exactly (same split streams, same slots, same merge). *)
-    let n = align_samples s.strategy n in
-    run_round ~base:0 rng n
+    (* One round, streams split directly off the caller's generator. *)
+    run_round ~base:0 rng (align_samples s.strategy n)
   | Until_rel_error { rel_error; min_samples; max_samples } ->
     let min_s = align_samples s.strategy (max 2 min_samples) in
     let max_s = max min_s (align_samples s.strategy max_samples) in
@@ -441,38 +400,6 @@ let run ?ctx s rng target =
       if next >= max_s || converged ~rel_error acc then stop := true
     done);
   estimate_of_acc acc
-
-(* --- legacy API: one definition site over [run] --- *)
-
-let estimate rng ~samples f =
-  if samples < 2 then invalid_arg "Montecarlo.estimate: need >= 2 samples";
-  run { strategy = Plain; stopping = Fixed_samples samples } rng (target f)
-
-let estimate_par ?ctx rng ~samples f =
-  if samples < 2 then
-    invalid_arg "Montecarlo.estimate_par: need >= 2 samples";
-  let ctx = Run_ctx.resolve ?ctx () in
-  run ~ctx { strategy = Plain; stopping = Fixed_samples samples } rng
-    (target f)
-
-let estimate_proportion_par ?ctx rng ~samples f =
-  if samples < 2 then
-    invalid_arg "Montecarlo.estimate_proportion_par: need >= 2 samples";
-  let ctx = Run_ctx.resolve ?ctx () in
-  let plan = resolve_plan ~ctx ~samples in
-  let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
-  let hits = Bytes.make samples '\000' in
-  let body =
-    sample_body rng ~samples ~chunks (fun s g ->
-        Bytes.unsafe_set hits s (if f g then '\001' else '\000'))
-  in
-  run_chunks ~ctx ~chunks ~batch ~samples body;
-  let count = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr count) hits;
-  let n = float_of_int samples in
-  let p = float_of_int !count /. n in
-  let std_error = sqrt (p *. (1. -. p) /. n) in
-  of_mean_se ~samples ~mean:p ~std_error
 
 let within e x = x >= e.ci95_low && x <= e.ci95_high
 

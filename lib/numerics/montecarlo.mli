@@ -2,13 +2,8 @@
 
     One engine, one entry point: {!run} executes a {!spec} — a sampling
     {!strategy} crossed with a {!stopping} rule — against a {!target}.
-    The other exported estimators serve existing call sites:
-    {ul
-    {- {!estimate} and {!estimate_par} — thin wrappers over [run] with
-       the plain/fixed spec, proven equivalent by the proptest oracle
-       suite;}
-    {- {!estimate_proportion} and {!estimate_proportion_par} — the
-       Bernoulli specialisation with the p(1-p)/n standard error.}}
+    Plain fixed-count estimates are
+    [run ?ctx (spec (fixed n)) rng (target f)].
 
     {2 Determinism contract}
 
@@ -17,9 +12,11 @@
     caller's generator, as in {!Rng.split_n}, derived in place per
     sample ({!Rng.split_into}) from a snapshot taken at its chunk's
     start — and its own result slot, and the slots fold sequentially in
-    sample order once the fan-out joins.  Chunk count, batch size, domain count and
-    scheduling order — including per-machine autotuned plans — move
-    wall-clock time only, never a result bit.  Adaptive stopping keeps
+    sample order once the fan-out joins.  Chunk count, batch size,
+    domain count and scheduling order move wall-clock time only, never
+    a result bit; the schedule itself is a pure function of the
+    context's chunking policy, the sample count and the pool's domain
+    count, so a traced run executes the schedule of an untraced one.  Adaptive stopping keeps
     the property round by round: round [r]'s streams derive from one
     sequential {!Rng.split} of the caller's generator, so the
     stop/continue decision after each round is itself bit-stable across
@@ -82,7 +79,7 @@ type stopping =
           round (capped at [max_samples]), stopping at the first round
           whose estimate meets the target.  The round schedule depends
           only on (min, max), never on observed values' timing, so the
-          result is bit-stable across domains/chunks/batch like every
+          result is bit-stable across domains and chunking like every
           other estimate. *)
 
 type spec = { strategy : strategy; stopping : stopping }
@@ -148,65 +145,20 @@ val run :
   ?ctx:Nanodec_parallel.Run_ctx.t -> spec -> Rng.t -> target -> estimate
 (** [run ?ctx spec rng target] — the single entry point every sampling
     configuration goes through.  The context supplies the pool, the
-    scheduling policy (chunking/batch — wall-clock only) and the
-    telemetry sink (span [mc.estimate_par], per-chunk histogram
-    [mc.chunk_s], counter [mc.samples], rate [mc.samples_per_sec]);
-    the spec supplies everything numeric.
+    scheduling policy and the telemetry sink (span [mc.run],
+    per-chunk histogram [mc.chunk_s], counter [mc.samples], rate
+    [mc.samples_per_sec]); the spec supplies everything numeric.
 
-    [run ?ctx (spec (fixed n)) rng (target f)] is bit-for-bit
-    [estimate_par ?ctx rng ~samples:n f].
+    Each round of [n] samples is cut into chunks by the context's
+    [chunking]: [Fixed c] runs [c] chunks claimed one at a time, [Auto]
+    runs [min n (max 64 (8 * domains))] chunks claimed
+    [max 1 (chunks / (4 * domains))] at a time.  The plan reads nothing
+    but these numbers — never the sink — and moves wall-clock time
+    only.
 
     Raises [Invalid_argument] on a malformed spec (fewer than 2
     samples, strata < 2, non-positive importance shift, rel_error
     outside (0, 0.5], [max_samples < min_samples]). *)
-
-(** {1 Sequential estimators} *)
-
-val estimate : Rng.t -> samples:int -> (Rng.t -> float) -> estimate
-(** [estimate rng ~samples f] — {!run} with the plain/fixed spec and no
-    context.  [samples] must be at least 2.  Uses the same per-sample
-    split-stream discipline as {!estimate_par}, so the two agree
-    bit-for-bit on the same seed. *)
-
-val estimate_proportion : Rng.t -> samples:int -> (Rng.t -> bool) -> estimate
-(** Bernoulli specialisation: the standard error uses the Wilson-style
-    p(1-p)/n variance, never larger than the generic estimator's.
-    Single-stream, sequential-only. *)
-
-(** {1 Domain-parallel chunked estimators}
-
-    Thin wrappers over {!run} with [spec = plain/fixed], kept for the
-    existing call sites.  Scheduling comes entirely from the context:
-    [Run_ctx.Fixed n] pins the chunk count, [Auto] (the default) lets
-    {!Nanodec_parallel.Autotune} size chunks and batches from the
-    sink's measured per-sample cost, and the context's [batch]
-    overrides the plan's batch either way.  All of it moves wall-clock
-    time only, never results. *)
-
-val default_chunks : int
-(** 64 — the autotuner's fallback chunk floor (see
-    {!Nanodec_parallel.Autotune}): comfortably more chunks than any
-    realistic pool has domains, so telemetry-off runs still
-    load-balance. *)
-
-val estimate_par :
-  ?ctx:Nanodec_parallel.Run_ctx.t ->
-  Rng.t ->
-  samples:int ->
-  (Rng.t -> float) ->
-  estimate
-(** Chunked {!estimate}.  [samples] must be at least 2.  The pool (if
-    any) rides inside [?ctx] ([Run_ctx.make ~pool ()]). *)
-
-val estimate_proportion_par :
-  ?ctx:Nanodec_parallel.Run_ctx.t ->
-  Rng.t ->
-  samples:int ->
-  (Rng.t -> bool) ->
-  estimate
-(** Chunked {!estimate_proportion}; the per-sample hits are exact
-    booleans, so the count is exact in any order (folded in sample
-    order anyway, for uniformity).  The pool rides inside [?ctx]. *)
 
 val within : estimate -> float -> bool
 (** [within e x] tests whether [x] lies inside the 95 % interval of [e]. *)

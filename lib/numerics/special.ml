@@ -1,8 +1,12 @@
 let sqrt2 = sqrt 2.
 let sqrt_2pi = sqrt (2. *. Float.pi)
 
-(* Abramowitz & Stegun 7.1.26: |error| <= 1.5e-7 on [0, inf). *)
-let erf_as x =
+(* Abramowitz & Stegun 7.1.26: |error| <= 1.5e-7 on [0, inf).
+
+   [erf_as], [erf] and [erf_inv] are inlined into their callers and hold
+   no local closures, so the quantile below keeps every intermediate
+   unboxed: [normal_quantile_in_place] allocates nothing. *)
+let[@inline] erf_as x =
   let a1 = 0.254829592
   and a2 = -0.284496736
   and a3 = 1.421413741
@@ -13,7 +17,7 @@ let erf_as x =
   let poly = t *. (a1 +. (t *. (a2 +. (t *. (a3 +. (t *. (a4 +. (t *. a5)))))))) in
   1. -. (poly *. exp (-.x *. x))
 
-let erf x =
+let[@inline] erf x =
   if Float.is_nan x then x
   else if x >= 0. then erf_as x
   else -.erf_as (-.x)
@@ -40,7 +44,7 @@ let erfc x = if x >= 0. then erfc_pos x else 2. -. erfc_pos (-.x)
 (* Winitzki's approximation followed by Newton refinement.  The seed is
    accurate to ~2e-3; two Newton steps on erf bring it to ~1e-12 over the
    bulk of the domain. *)
-let erf_inv y =
+let[@inline] erf_inv y =
   if not (y > -1. && y < 1.) then
     invalid_arg "Special.erf_inv: argument outside (-1, 1)";
   if y = 0. then 0.
@@ -48,15 +52,19 @@ let erf_inv y =
     let a = 0.147 in
     let ln1my2 = log (1. -. (y *. y)) in
     let t1 = (2. /. (Float.pi *. a)) +. (ln1my2 /. 2.) in
-    let seed =
+    let x =
       Float.copy_sign (sqrt (sqrt ((t1 *. t1) -. (ln1my2 /. a)) -. t1)) y
     in
-    let newton x =
+    (* Two Newton steps, spelled out: a local [newton] closure would box
+       every iterate. *)
+    let x =
       let fx = erf x -. y in
       let dfx = 2. /. sqrt Float.pi *. exp (-.x *. x) in
       x -. (fx /. dfx)
     in
-    newton (newton seed)
+    let fx = erf x -. y in
+    let dfx = 2. /. sqrt Float.pi *. exp (-.x *. x) in
+    x -. (fx /. dfx)
 
 let check_sigma ~fn sigma =
   if not (sigma > 0.) then
@@ -72,11 +80,16 @@ let normal_cdf ?(mu = 0.) ?(sigma = 1.) x =
   let z = (x -. mu) /. (sigma *. sqrt2) in
   0.5 *. erfc (-.z)
 
-let normal_quantile ?(mu = 0.) ?(sigma = 1.) p =
+let[@inline] quantile ~mu ~sigma p =
   check_sigma ~fn:"normal_quantile" sigma;
   if not (p > 0. && p < 1.) then
     invalid_arg "Special.normal_quantile: probability outside (0, 1)";
   mu +. (sigma *. sqrt2 *. erf_inv ((2. *. p) -. 1.))
+
+let normal_quantile ?(mu = 0.) ?(sigma = 1.) p = quantile ~mu ~sigma p
+
+let normal_quantile_in_place ~sigma a i =
+  Array.set a i (quantile ~mu:0. ~sigma (Array.get a i))
 
 let normal_interval_probability ~sigma ~half_width =
   check_sigma ~fn:"normal_interval_probability" sigma;

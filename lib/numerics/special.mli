@@ -27,6 +27,13 @@ val normal_cdf : ?mu:float -> ?sigma:float -> float -> float
 val normal_quantile : ?mu:float -> ?sigma:float -> float -> float
 (** Inverse of {!normal_cdf}; raises [Invalid_argument] outside (0, 1). *)
 
+val normal_quantile_in_place : sigma:float -> float array -> int -> unit
+(** [normal_quantile_in_place ~sigma a i] replaces the probability
+    [a.(i)] with [normal_quantile ~sigma a.(i)], bit for bit, and
+    allocates nothing — the per-sample path of stratified Monte-Carlo
+    draws, where a boxed argument and result would cost more than the
+    draw itself.  Raises like {!normal_quantile}. *)
+
 val normal_interval_probability : sigma:float -> half_width:float -> float
 (** [normal_interval_probability ~sigma ~half_width] is
     {m P(|X| < half\_width)} for {m X ~ N(0, σ²)}.  This is the

@@ -14,9 +14,9 @@
     the whole batch before touching any shared state again, so claim
     overhead is O(chunks / batch) atomic adds per job — not a lock
     round trip per chunk.  [batch] is a pure scheduling knob: it moves
-    wall-clock time, never results.  {!Autotune} derives chunk and
-    batch sizes from a measured per-sample cost model when telemetry is
-    available.
+    wall-clock time, never results.  The Monte-Carlo estimator picks
+    chunk and batch sizes from (samples, domains) alone, the same plan
+    on every run.
 
     Guarantees:
     {ul

@@ -20,7 +20,6 @@ type t = {
   timeout_s : float option;
   cancel : Pool.Cancel.t option;
   chunking : chunking;
-  batch : int option;
   mc_method : mc_method;
   rel_error : float option;
   owns_pool : bool;  (* [make ~domains] spawned it, [shutdown] joins it *)
@@ -29,26 +28,23 @@ type t = {
 let default_seed = 2009
 let default_mc_samples = 4000
 
-(* Shared by [make] and [with_request], so both surfaces reject the new
+(* Shared by [make] and [with_request], so both surfaces reject the
    Monte-Carlo knobs with identical messages. *)
-let check_mc_knobs ~who ~mc_method ~rel_error ~batch =
+let check_mc_knobs ~who ~mc_method ~rel_error =
   (match mc_method with
   | Stratified k when k < 2 ->
     invalid_arg (who ^ ": Stratified strata must be >= 2")
   | Importance s when (not (s > 0.)) || s = infinity ->
     invalid_arg (who ^ ": Importance shift must be positive and finite")
   | Plain | Antithetic | Stratified _ | Importance _ -> ());
-  (match rel_error with
+  match rel_error with
   | Some r when (not (r > 0.)) || r > 0.5 ->
     invalid_arg (who ^ ": rel_error must be in (0, 0.5]")
-  | Some _ | None -> ());
-  match batch with
-  | Some b when b < 1 -> invalid_arg (who ^ ": batch must be >= 1")
   | Some _ | None -> ()
 
 let make ?domains ?pool ?(seed = default_seed)
     ?(mc_samples = default_mc_samples) ?telemetry ?fault ?timeout_s ?cancel
-    ?(chunking = Auto) ?batch ?(mc_method = Plain) ?rel_error
+    ?(chunking = Auto) ?(mc_method = Plain) ?rel_error
     ?(degrade = true) ?(warn = true) () =
   if mc_samples < 0 then invalid_arg "Run_ctx.make: mc_samples must be >= 0";
   (match timeout_s with
@@ -59,7 +55,7 @@ let make ?domains ?pool ?(seed = default_seed)
   | Fixed n when n < 1 ->
     invalid_arg "Run_ctx.make: Fixed chunking must be >= 1"
   | Fixed _ | Auto -> ());
-  check_mc_knobs ~who:"Run_ctx.make" ~mc_method ~rel_error ~batch;
+  check_mc_knobs ~who:"Run_ctx.make" ~mc_method ~rel_error;
   (* The environment plan activates here and only here: contexts are the
      chaos boundary.  Direct [Pool] users (tests, benches) stay
      injection-free even when [NANODEC_FAULT_PLAN] is exported. *)
@@ -94,7 +90,6 @@ let make ?domains ?pool ?(seed = default_seed)
     timeout_s;
     cancel;
     chunking;
-    batch;
     mc_method;
     rel_error;
     owns_pool;
@@ -103,10 +98,10 @@ let make ?domains ?pool ?(seed = default_seed)
 let shutdown t = if t.owns_pool then Option.iter Pool.shutdown t.pool
 
 let with_ctx ?domains ?pool ?seed ?mc_samples ?telemetry ?fault ?timeout_s
-    ?cancel ?chunking ?batch ?mc_method ?rel_error ?degrade ?warn f =
+    ?cancel ?chunking ?mc_method ?rel_error ?degrade ?warn f =
   let t =
     make ?domains ?pool ?seed ?mc_samples ?telemetry ?fault ?timeout_s
-      ?cancel ?chunking ?batch ?mc_method ?rel_error ?degrade ?warn ()
+      ?cancel ?chunking ?mc_method ?rel_error ?degrade ?warn ()
   in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
@@ -118,7 +113,6 @@ let fault t = t.fault
 let timeout_s t = t.timeout_s
 let cancel t = t.cancel
 let chunking t = t.chunking
-let batch t = t.batch
 let mc_method t = t.mc_method
 let rel_error t = t.rel_error
 
@@ -162,8 +156,7 @@ let with_request ~base ?seed ?mc_samples ?timeout_s ?fault ?chunking
   | Fixed n when n < 1 ->
     invalid_arg "Run_ctx.with_request: Fixed chunking must be >= 1"
   | Fixed _ | Auto -> ());
-  check_mc_knobs ~who:"Run_ctx.with_request" ~mc_method ~rel_error
-    ~batch:base.batch;
+  check_mc_knobs ~who:"Run_ctx.with_request" ~mc_method ~rel_error;
   (* Every request borrows the base pool: the fault engine and the
      degrade policy travel with each job, so nothing on the shared pool
      changes and any number of requests can derive from one base. *)
@@ -206,7 +199,6 @@ let resolve ?ctx () =
       timeout_s = None;
       cancel = None;
       chunking = Auto;
-      batch = None;
       mc_method = Plain;
       rel_error = None;
       owns_pool = false;

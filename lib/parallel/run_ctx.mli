@@ -40,14 +40,17 @@
 type t
 
 type chunking =
-  | Auto  (** let {!Autotune} size chunks and batches per job *)
+  | Auto
+      (** [min samples (max 64 (8 * domains))] chunks claimed
+          [max 1 (chunks / (4 * domains))] at a time — a pure function
+          of (samples, domains) *)
   | Fixed of int
       (** exactly this many scheduling chunks, claimed one at a time
           (the CLI's [--chunks N]); must be >= 1 *)
-(** How the Monte-Carlo estimators cut a job into pool chunks.  A pure
+(** How the Monte-Carlo estimator cuts a job into pool chunks.  A pure
     scheduling policy: estimates are bit-for-bit identical under every
-    [chunking], domain count and batch size — the per-sample stream
-    discipline guarantees it. *)
+    [chunking] and domain count — the per-sample stream discipline
+    guarantees it. *)
 
 (** The Monte-Carlo sampling strategy the context's estimators should
     use.  The datatype lives here (not in [Nanodec_numerics]) because
@@ -85,7 +88,6 @@ val make :
   ?timeout_s:float ->
   ?cancel:Pool.Cancel.t ->
   ?chunking:chunking ->
-  ?batch:int ->
   ?mc_method:mc_method ->
   ?rel_error:float ->
   ?degrade:bool ->
@@ -105,10 +107,8 @@ val make :
     job run through this context, owned pool or borrowed (see
     {!Pool.parallel_for}); the borrowed pool itself is left as it
     was.
-    [chunking] (default [Auto]) selects the estimators' scheduling
-    policy and [batch] (>= 1) overrides the per-claim batch size of
-    every estimator fan-out; [Fixed n] with [n < 1] or [batch < 1]
-    raise [Invalid_argument].  [mc_method] (default {!Plain}) and
+    [chunking] (default [Auto]) selects the estimator's scheduling
+    policy; [Fixed n] with [n < 1] raises [Invalid_argument].  [mc_method] (default {!Plain}) and
     [rel_error] select the estimators' sampling strategy and, when
     [rel_error] is set (must lie in (0, 0.5]), CI-driven adaptive
     stopping — the context carries them exactly as it carries [seed]
@@ -126,7 +126,6 @@ val with_ctx :
   ?timeout_s:float ->
   ?cancel:Pool.Cancel.t ->
   ?chunking:chunking ->
-  ?batch:int ->
   ?mc_method:mc_method ->
   ?rel_error:float ->
   ?degrade:bool ->
@@ -146,11 +145,6 @@ val fault : t -> Nanodec_fault.Fault.t option
 val timeout_s : t -> float option
 val cancel : t -> Pool.Cancel.t option
 val chunking : t -> chunking
-
-val batch : t -> int option
-(** Explicit per-claim batch size for estimator fan-outs; [None] leaves
-    it to the chunking plan. *)
-
 val mc_method : t -> mc_method
 val rel_error : t -> float option
 

@@ -350,6 +350,13 @@ let pool_map_sequential_equivalence =
       Nanodec_parallel.Pool.with_pool ~domains (fun pool ->
           Nanodec_parallel.Pool.map_list pool f xs = expected))
 
+(* The plain fixed-count estimate every scheduling oracle below
+   compares: [samples] draws of [f] on the streams of [seed]. *)
+let plain_estimate ?ctx ~seed ~samples f =
+  Montecarlo.run ?ctx
+    (Montecarlo.spec (Montecarlo.fixed samples))
+    (Rng.create ~seed) (Montecarlo.target f)
+
 let chunked_mc_domain_invariance =
   Property.make
     ~name:"Chunked MC estimates are domain-count invariant"
@@ -361,23 +368,12 @@ let chunked_mc_domain_invariance =
        (int_range 1 4))
     (fun (seed, (samples, chunks), domains) ->
       let f rng = Rng.gaussian rng +. Rng.float rng in
-      let p rng = Rng.float rng < 0.5 in
       let chunking = Nanodec_parallel.Run_ctx.Fixed chunks in
       let seq_ctx = Nanodec_parallel.Run_ctx.make ~chunking () in
-      let sequential =
-        Montecarlo.estimate_par ~ctx:seq_ctx (Rng.create ~seed) ~samples f
-      in
-      let sequential_prop =
-        Montecarlo.estimate_proportion_par ~ctx:seq_ctx (Rng.create ~seed)
-          ~samples p
-      in
+      let sequential = plain_estimate ~ctx:seq_ctx ~seed ~samples f in
       Nanodec_parallel.Pool.with_pool ~domains (fun pool ->
           let ctx = Nanodec_parallel.Run_ctx.make ~pool ~chunking () in
-          Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
-          = sequential
-          && Montecarlo.estimate_proportion_par ~ctx (Rng.create ~seed)
-               ~samples p
-             = sequential_prop))
+          plain_estimate ~ctx ~seed ~samples f = sequential))
 
 (* --- Telemetry (pure-observer contract) --- *)
 
@@ -396,55 +392,42 @@ let telemetry_transparency =
     (fun (seed, (samples, chunks), dexp) ->
       let domains = 1 lsl dexp (* 1, 2, 4 or 8 *) in
       let f rng = Rng.gaussian rng +. Rng.float rng in
-      let p rng = Rng.float rng < 0.5 in
       let run ?telemetry () =
         Run_ctx.with_ctx ~domains ?telemetry
           ~chunking:(Run_ctx.Fixed chunks) (fun ctx ->
-            ( Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f,
-              Montecarlo.estimate_proportion_par ~ctx (Rng.create ~seed)
-                ~samples p ))
+            plain_estimate ~ctx ~seed ~samples f)
       in
       let bare = run () in
       let sink = Telemetry.create () in
       let instrumented = run ~telemetry:sink () in
       instrumented = bare)
 
-(* The batched scheduler's licensing property: chunk count and batch
-   size are pure scheduling knobs, so an auto-tuned run (fallback plan
-   when cold, measured cost model when the sink is warm) computes
-   exactly the bits of any fixed-chunk run — and the tuner never emits
-   an unrunnable plan (batch or chunks below 1). *)
-let autotune_value_invariance =
+(* The scheduler's licensing property: chunk count and batch size are
+   pure scheduling knobs, so an [Auto] run — cold, or on a sink that
+   already holds a previous estimate — computes exactly the bits of
+   any fixed-chunk run. *)
+let auto_chunking_value_invariance =
   Property.make
-    ~name:"Auto-tuned and fixed-chunk estimates are bit-identical"
-    ~print:(fun (seed, (samples, chunks), (domains, batch)) ->
-      Printf.sprintf "seed %d, %d samples / %d chunks / batch %d, %d domains"
-        seed samples chunks batch domains)
+    ~name:"Auto-chunked and fixed-chunk estimates are bit-identical"
+    ~print:(fun (seed, (samples, chunks), domains) ->
+      Printf.sprintf "seed %d, %d samples / %d chunks, %d domains" seed
+        samples chunks domains)
     (triple Generators.sample_seed
        (pair (int_range 2 200) (int_range 1 32))
-       (pair (int_range 1 4) (int_range 1 48)))
-    (fun (seed, (samples, chunks), (domains, batch)) ->
+       (int_range 1 4))
+    (fun (seed, (samples, chunks), domains) ->
       let f rng = Rng.gaussian rng +. Rng.float rng in
       let fixed =
-        let ctx = Run_ctx.make ~chunking:(Run_ctx.Fixed chunks) ~batch () in
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
+        let ctx = Run_ctx.make ~chunking:(Run_ctx.Fixed chunks) () in
+        plain_estimate ~ctx ~seed ~samples f
       in
-      let module Autotune = Nanodec_parallel.Autotune in
-      let runnable (p : Autotune.plan) = p.chunks >= 1 && p.batch >= 1 in
-      runnable (Autotune.plan ~domains ~samples ())
-      && Run_ctx.with_ctx ~domains (fun ctx ->
-             Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
-             = fixed)
+      Run_ctx.with_ctx ~domains (fun ctx ->
+          plain_estimate ~ctx ~seed ~samples f = fixed)
       &&
       let sink = Telemetry.create () in
       Run_ctx.with_ctx ~domains ~telemetry:sink (fun ctx ->
-          (* Warm the sink so the second estimate plans from measured
-             cost, then re-check plan sanity and value identity. *)
-          ignore
-            (Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f);
-          runnable (Autotune.plan ~telemetry:sink ~domains ~samples ())
-          && Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
-             = fixed))
+          ignore (plain_estimate ~ctx ~seed ~samples f);
+          plain_estimate ~ctx ~seed ~samples f = fixed))
 
 let telemetry_span_well_formedness =
   Property.make
@@ -508,7 +491,7 @@ let fault_probes_inert =
       let run ?fault () =
         Run_ctx.with_ctx ~domains ?fault ~warn:false
           ~chunking:(Run_ctx.Fixed chunks) (fun ctx ->
-            Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f)
+            plain_estimate ~ctx ~seed ~samples f)
       in
       let engine = Fault.inert () in
       let r = run () = run ~fault:engine () in
@@ -536,7 +519,7 @@ let fault_injection_transparency =
       let run ?fault () =
         Run_ctx.with_ctx ~domains ?fault ~warn:false
           ~chunking:(Run_ctx.Fixed chunks) (fun ctx ->
-            Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f)
+            plain_estimate ~ctx ~seed ~samples f)
       in
       let plan =
         Fault.parse_exn
@@ -595,29 +578,6 @@ let kernel_reference_equivalence =
       && agree ~domains:1 ~fault:plan ())
 
 (* --- the unified Monte-Carlo entry point --- *)
-
-(* [estimate]/[estimate_par] are documented as thin wrappers over
-   [Montecarlo.run] with the plain/fixed spec; this is the executable
-   form of that claim, at bit precision, sequential and pooled. *)
-let montecarlo_wrapper_spec_equivalence =
-  Property.make
-    ~name:"estimate/estimate_par are bit-equal to Montecarlo.run plain/fixed"
-    ~print:(fun (seed, (samples, chunks), dexp) ->
-      Printf.sprintf "seed %d, %d samples / %d chunks, %d domains" seed
-        samples chunks (1 lsl dexp))
-    (triple Generators.sample_seed
-       (pair (int_range 2 300) (int_range 1 16))
-       (int_range 0 2))
-    (fun (seed, (samples, chunks), dexp) ->
-      let f rng = Rng.gaussian rng +. Rng.float rng in
-      let spec = Montecarlo.spec (Montecarlo.fixed samples) in
-      let target = Montecarlo.target f in
-      Montecarlo.estimate (Rng.create ~seed) ~samples f
-      = Montecarlo.run spec (Rng.create ~seed) target
-      && Run_ctx.with_ctx ~domains:(1 lsl dexp)
-           ~chunking:(Run_ctx.Fixed chunks) ~warn:false (fun ctx ->
-             Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
-             = Montecarlo.run ~ctx spec (Rng.create ~seed) target))
 
 (* Every sampling strategy is an equally unbiased estimator of the same
    yield: on a cave whose exact answer is known in closed form (the
@@ -724,13 +684,12 @@ let all =
     defect_map_determinism;
     pool_map_sequential_equivalence;
     chunked_mc_domain_invariance;
-    autotune_value_invariance;
+    auto_chunking_value_invariance;
     telemetry_transparency;
     telemetry_span_well_formedness;
     fault_probes_inert;
     fault_injection_transparency;
     kernel_reference_equivalence;
-    montecarlo_wrapper_spec_equivalence;
     montecarlo_strategy_unbiasedness;
     montecarlo_adaptive_determinism;
   ]

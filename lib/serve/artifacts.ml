@@ -177,24 +177,33 @@ let estimate_spec_key ~seed ~spec config =
     (Montecarlo.spec_key spec)
     (Cave.config_key config)
 
+(* The one estimate builder, cached or not: the analysis and kernel
+   come through their caches, the estimate runs on the request's
+   context.  An explicit [spec] wins over [samples], as in
+   [Cave.mc_yield_window_par]. *)
+let build_estimate cache ~ctx ~seed ~samples ?spec config =
+  let a, _ = analysis cache config in
+  let k, _ = kernel cache config in
+  Json.to_string
+    (estimate_json ~seed ?spec
+       (Cave.mc_yield_window_par ~ctx ?spec ~kernel:k (Rng.create ~seed)
+          ~samples a))
+
 (* The seed and the method tag (present exactly when a spec is) are
    both part of the key, so the rendered fragment is as much a function
    of the key as the estimate it renders. *)
-let estimate_with cache ~key ~build =
+let estimate cache ~ctx ~seed ~samples ?spec config =
+  let key =
+    match spec with
+    | None -> estimate_key ~seed ~samples config
+    | Some spec -> estimate_spec_key ~seed ~spec config
+  in
   match
     Artifact_cache.find_or_build cache ~key (fun () ->
-        Estimate (Json.to_string (build ())))
+        Estimate (build_estimate cache ~ctx ~seed ~samples ?spec config))
   with
   | Estimate s, hit -> (s, hit)
   | _ -> unwrap_error ~key ~wanted:"estimate"
-
-let estimate cache ~ctx ~seed ~samples config =
-  estimate_with cache ~key:(estimate_key ~seed ~samples config)
-    ~build:(fun () ->
-      let a, _ = analysis cache config in
-      let k, _ = kernel cache config in
-      estimate_json ~seed
-        (Cave.mc_yield_window_par ~ctx ~kernel:k (Rng.create ~seed) ~samples a))
 
 let estimate_spec cache ~ctx ~seed ~spec config =
   let samples =
@@ -202,14 +211,7 @@ let estimate_spec cache ~ctx ~seed ~spec config =
     | Montecarlo.Fixed_samples n -> n
     | Montecarlo.Until_rel_error { max_samples; _ } -> max_samples
   in
-  estimate_with cache ~key:(estimate_spec_key ~seed ~spec config)
-    ~build:(fun () ->
-      let a, _ = analysis cache config in
-      let k, _ = kernel cache config in
-      estimate_json ~seed ~spec
-        (Cave.mc_yield_window_par ~ctx ~spec ~kernel:k
-           (Rng.create ~seed)
-           ~samples a))
+  estimate cache ~ctx ~seed ~samples ~spec config
 
 let sweep cache spec =
   let key =

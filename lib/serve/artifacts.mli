@@ -89,14 +89,33 @@ val estimate :
   ctx:Nanodec_parallel.Run_ctx.t ->
   seed:int ->
   samples:int ->
+  ?spec:Montecarlo.spec ->
   Cave.config ->
   string * bool
-(** The {!estimate_json} fragment (no method tag) of
-    [Cave.mc_yield_window_par] through the {!analysis} and {!kernel}
-    caches, keyed by (config, seed, samples) — legitimate because the
-    chunked estimator is bit-for-bit invariant in pool, chunking and
-    domain count.  Concurrent requests for one cold estimate share a
-    single build ({!Artifact_cache.find_or_build} is single-flight). *)
+(** The {!estimate_json} fragment of [Cave.mc_yield_window_par] through
+    the {!analysis} and {!kernel} caches — legitimate because the
+    estimator is bit-for-bit invariant in pool, chunking and domain
+    count.  Concurrent requests for one cold estimate share a single
+    build ({!Artifact_cache.find_or_build} is single-flight).
+
+    Without [spec] the estimate is plain with [samples] draws, keyed by
+    (config, seed, samples), and its fragment has no method tag.  With
+    [spec] (a request that picked a sampling strategy or an adaptive
+    stopping rule) the spec wins over [samples], the key is (config,
+    seed, {!Montecarlo.spec_key}) — injective, so disjoint from the
+    plain keys — and the fragment carries the method tag. *)
+
+val build_estimate :
+  t ->
+  ctx:Nanodec_parallel.Run_ctx.t ->
+  seed:int ->
+  samples:int ->
+  ?spec:Montecarlo.spec ->
+  Cave.config ->
+  string
+(** What {!estimate} stores on a miss, built without looking up or
+    storing the estimate itself: the path of requests that must not
+    share cached results (fault plans, [no_degrade]). *)
 
 val estimate_spec :
   t ->
@@ -105,12 +124,8 @@ val estimate_spec :
   spec:Montecarlo.spec ->
   Cave.config ->
   string * bool
-(** {!estimate} for requests that picked a sampling strategy or an
-    adaptive stopping rule; its fragment carries the method tag.  Keyed
-    by (config, seed, {!Montecarlo.spec_key}) — every strategy/stopping
-    combination is a distinct, equally deterministic estimate, and the
-    injective spec serialization keeps the key space disjoint from the
-    legacy plain keys. *)
+(** [estimate ~spec] with [samples] read off the spec's stopping rule.
+    Kept for the benchmark's in-process replay, which names it. *)
 
 val sweep : t -> Design.spec -> string * bool
 (** [Optimizer.sweep] of the default candidate grid on the spec's

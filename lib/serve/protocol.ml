@@ -323,18 +323,10 @@ let request_spec exec ~ctx ~samples =
 let run_estimate state ~exec ~ctx ~samples config =
   let seed = Run_ctx.seed ctx in
   let spec = request_spec exec ~ctx ~samples in
-  if bypasses_result_cache exec then (
-    let analysis, _ = Artifacts.analysis state.artifacts config in
-    let kernel, _ = Artifacts.kernel state.artifacts config in
-    ( Json.to_string
-        (Artifacts.estimate_json ~seed ?spec
-           (Cave.mc_yield_window_par ~ctx ?spec ~kernel (Rng.create ~seed)
-              ~samples analysis)),
-      false ))
-  else
-    match spec with
-    | None -> Artifacts.estimate state.artifacts ~ctx ~seed ~samples config
-    | Some spec -> Artifacts.estimate_spec state.artifacts ~ctx ~seed ~spec config
+  if bypasses_result_cache exec then
+    ( Artifacts.build_estimate state.artifacts ~ctx ~seed ~samples ?spec config,
+      false )
+  else Artifacts.estimate state.artifacts ~ctx ~seed ~samples ?spec config
 
 (* The report object with an ["mc"] field appended: the report
    fragment up to its closing brace, then the estimate fragment. *)

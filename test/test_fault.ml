@@ -28,8 +28,10 @@ let estimate ~ctx () =
      estimators take all scheduling through [Run_ctx]. *)
   Run_ctx.with_request ~base:ctx ~chunking:(Run_ctx.Fixed 8) ~warn:false
     (fun ctx ->
-      Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples:400
-        (fun rng -> Rng.gaussian rng +. Rng.float rng))
+      Montecarlo.run ~ctx
+        (Montecarlo.spec (Montecarlo.fixed 400))
+        (Rng.create ~seed:2009)
+        (Montecarlo.target (fun rng -> Rng.gaussian rng +. Rng.float rng)))
 
 let workload ?fault ?timeout_s ?cancel ~domains () =
   Run_ctx.with_ctx ~domains ?fault ?timeout_s ?cancel (fun ctx ->
@@ -200,8 +202,10 @@ let test_poolless_no_degrade_fails_closed () =
   match
     Run_ctx.with_ctx ~degrade:false ~fault:(engine "mc.sample_batch:crash:p=1")
       (fun ctx ->
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples:400
-          (fun rng -> Rng.gaussian rng +. Rng.float rng))
+        Montecarlo.run ~ctx
+          (Montecarlo.spec (Montecarlo.fixed 400))
+          (Rng.create ~seed:2009)
+          (Montecarlo.target (fun rng -> Rng.gaussian rng +. Rng.float rng)))
   with
   | _ -> Alcotest.fail "expected Degraded"
   | exception E.Error (E.Degraded { site; _ }) ->

@@ -87,7 +87,10 @@ let test_sequential_kernel_path () =
   let k = Cave.kernel_of_analysis a in
   let direct = Cave.mc_yield_window_par (Rng.create ~seed:5) ~samples:150 a in
   let manual =
-    Montecarlo.estimate (Rng.create ~seed:5) ~samples:150 (Kernel.draw k)
+    Montecarlo.run
+      (Montecarlo.spec (Montecarlo.fixed 150))
+      (Rng.create ~seed:5)
+      (Montecarlo.target (Kernel.draw k))
   in
   Alcotest.check estimate "sequential path" direct manual
 
@@ -219,8 +222,9 @@ let test_alloc_per_sample () =
      keeps out every per-run and per-chunk cost: what is left is what
      each sample allocates.  Plain and importance keep only the boxed
      float their target returns (2 words): the sample's stream is
-     derived in place and the draws allocate nothing.  Stratified adds
-     its [Special.normal_quantile] call. *)
+     derived in place and the draws allocate nothing — stratified
+     included, its quantile computed in the cell's slot by
+     [Special.normal_quantile_in_place]. *)
   let samples = 600 in
   List.iter
     (fun (ct, m) ->
@@ -249,7 +253,7 @@ let test_alloc_per_sample () =
         [
           (Montecarlo.Plain, 4.);
           (Montecarlo.Importance 1.0, 4.);
-          (Montecarlo.Stratified 16, 28.);
+          (Montecarlo.Stratified 16, 4.);
         ])
     [ (Codebook.Tree, 6); (Codebook.Hot, 4); (Codebook.Balanced_gray, 10) ]
 

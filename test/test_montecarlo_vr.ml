@@ -80,15 +80,22 @@ let test_adaptive_schedule_invariance () =
   in
   let baseline = Montecarlo.run spec (Rng.create ~seed:5) target in
   List.iter
-    (fun (domains, chunks, batch) ->
-      Run_ctx.with_ctx ~domains ~chunking:(Run_ctx.Fixed chunks) ~batch
-        ~warn:false (fun ctx ->
+    (fun (domains, chunking) ->
+      Run_ctx.with_ctx ~domains ~chunking ~warn:false (fun ctx ->
           Alcotest.check estimate
-            (Printf.sprintf "domains=%d chunks=%d batch=%d" domains chunks
-               batch)
+            (Printf.sprintf "domains=%d %s" domains
+               (match chunking with
+               | Run_ctx.Auto -> "auto"
+               | Run_ctx.Fixed c -> Printf.sprintf "chunks=%d" c))
             baseline
             (Montecarlo.run ~ctx spec (Rng.create ~seed:5) target)))
-    [ (1, 3, 1); (1, 16, 4); (4, 3, 2); (4, 16, 1); (4, 5, 8) ];
+    [
+      (1, Run_ctx.Fixed 3);
+      (1, Run_ctx.Auto);
+      (4, Run_ctx.Fixed 3);
+      (4, Run_ctx.Fixed 16);
+      (4, Run_ctx.Auto);
+    ];
   Run_ctx.with_ctx ~domains:4 ~fault:(fault_plan ()) ~warn:false (fun ctx ->
       Alcotest.check estimate "adaptive under injected faults" baseline
         (Montecarlo.run ~ctx spec (Rng.create ~seed:5) target))

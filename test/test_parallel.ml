@@ -36,44 +36,31 @@ let integrand rng =
   let b = Rng.float rng in
   sin (3.0 *. a) *. cos (2.0 *. b) +. (a *. b)
 
-let predicate rng = Rng.float rng < 0.37
+let estimate_on ?ctx ~seed ~samples () =
+  Montecarlo.run ?ctx
+    (Montecarlo.spec (Montecarlo.fixed samples))
+    (Rng.create ~seed) (Montecarlo.target integrand)
 
 let check_estimate_invariance ~samples ~chunks () =
   let chunking = Run_ctx.Fixed chunks in
   List.iter
     (fun seed ->
-      let seq_ctx = Run_ctx.make ~chunking () in
       let baseline =
-        Montecarlo.estimate_par ~ctx:seq_ctx (Rng.create ~seed) ~samples
-          integrand
-      in
-      let baseline_prop =
-        Montecarlo.estimate_proportion_par ~ctx:seq_ctx (Rng.create ~seed)
-          ~samples predicate
+        estimate_on ~ctx:(Run_ctx.make ~chunking ()) ~seed ~samples ()
       in
       List.iter
         (fun domains ->
           Pool.with_pool ~domains (fun pool ->
               let ctx = Run_ctx.make ~pool ~chunking () in
-              let e =
-                Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples
-                  integrand
-              in
               Alcotest.check estimate
                 (Printf.sprintf "estimate seed=%d domains=%d" seed domains)
-                baseline e;
-              let p =
-                Montecarlo.estimate_proportion_par ~ctx (Rng.create ~seed)
-                  ~samples predicate
-              in
-              Alcotest.check estimate
-                (Printf.sprintf "proportion seed=%d domains=%d" seed domains)
-                baseline_prop p))
+                baseline
+                (estimate_on ~ctx ~seed ~samples ())))
         domain_counts)
     seeds
 
 let test_estimate_invariance () =
-  check_estimate_invariance ~samples:1000 ~chunks:Montecarlo.default_chunks ()
+  check_estimate_invariance ~samples:1000 ~chunks:64 ()
 
 let test_estimate_degenerate () =
   (* chunks > samples: most chunks are empty and must contribute nothing. *)
@@ -83,40 +70,10 @@ let test_estimate_degenerate () =
   (* single chunk: the parallel path is one sequential run. *)
   check_estimate_invariance ~samples:50 ~chunks:1 ()
 
-let test_estimate_agrees_with_plain () =
-  (* The chunked estimator draws from split sub-streams, so it is a
-     different (equally valid) sample than the plain estimator — the two
-     must agree statistically, not bitwise: means within a few combined
-     standard errors, standard errors of similar magnitude. *)
-  List.iter
-    (fun seed ->
-      let samples = 4000 in
-      let plain = Montecarlo.estimate (Rng.create ~seed) ~samples integrand in
-      let chunked =
-        Montecarlo.estimate_par (Rng.create ~seed) ~samples integrand
-      in
-      let gap = Float.abs (plain.Montecarlo.mean -. chunked.Montecarlo.mean) in
-      let combined_se =
-        sqrt
-          ((plain.Montecarlo.std_error ** 2.)
-          +. (chunked.Montecarlo.std_error ** 2.))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "means agree within 5 SE, seed %d" seed)
-        true
-        (gap <= 5. *. combined_se);
-      Alcotest.(check bool)
-        (Printf.sprintf "std errors comparable, seed %d" seed)
-        true
-        (chunked.Montecarlo.std_error < 2. *. plain.Montecarlo.std_error
-        && plain.Montecarlo.std_error < 2. *. chunked.Montecarlo.std_error))
-    seeds
-
 let test_estimate_validation () =
   Alcotest.check_raises "samples < 2"
-    (Invalid_argument "Montecarlo.estimate_par: need >= 2 samples")
-    (fun () ->
-      ignore (Montecarlo.estimate_par (Rng.create ~seed:1) ~samples:1 integrand));
+    (Invalid_argument "Montecarlo.run: need >= 2 samples")
+    (fun () -> ignore (estimate_on ~seed:1 ~samples:1 ()));
   (* Chunk counts now arrive through the context and are validated
      there, uniformly for every estimator. *)
   Alcotest.check_raises "chunks < 1"
@@ -338,8 +295,6 @@ let suite =
       test_estimate_invariance;
     Alcotest.test_case "MC estimate degenerate chunkings" `Quick
       test_estimate_degenerate;
-    Alcotest.test_case "chunked estimator agrees with plain statistically"
-      `Quick test_estimate_agrees_with_plain;
     Alcotest.test_case "estimator argument validation" `Quick
       test_estimate_validation;
     Alcotest.test_case "crossbar MC yield invariant" `Quick

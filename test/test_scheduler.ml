@@ -1,13 +1,14 @@
 (* Batched-scheduler stress suite.
 
-   The scheduling plan — chunk count, batch size, autotuned or fixed —
-   is supposed to be invisible in the results: every sample owns its
-   own split stream and result slot, so the estimate is a pure function
-   of (seed, samples, f).  These tests drive the scheduler through the
-   adversarial corners of that contract: degenerate chunkings, batches
-   larger than the job, active fault plans at every domain count, and a
-   starvation check that every domain of a pool actually claims work on
-   a job big enough to share. *)
+   The scheduling plan — chunk count and batch size, Auto or Fixed — is
+   supposed to be invisible in the results: every sample owns its own
+   split stream and result slot, so the estimate is a pure function of
+   (seed, samples, f).  These tests drive the scheduler through the
+   adversarial corners of that contract: degenerate chunkings, every
+   Auto shape up to 8 domains, active fault plans at every domain
+   count, a starvation check that every domain of a pool actually
+   claims work on a job big enough to share, and a check that a
+   telemetry sink never changes the plan. *)
 
 open Nanodec_numerics
 open Nanodec_parallel
@@ -22,55 +23,47 @@ let integrand rng =
   let b = Rng.gaussian rng in
   (a *. b) +. sin (5. *. a)
 
-let predicate rng = Rng.float rng < 0.41
+(* The plain fixed-count estimate of [integrand] on the streams of
+   [seed], under [ctx]'s scheduling. *)
+let estimate_on ?ctx ~seed ~samples () =
+  Montecarlo.run ?ctx
+    (Montecarlo.spec (Montecarlo.fixed samples))
+    (Rng.create ~seed) (Montecarlo.target integrand)
 
-(* --- adversarial chunk/batch combinations --- *)
-
-let ctx_fixed ?pool ?batch chunks =
-  Run_ctx.make ?pool ~chunking:(Run_ctx.Fixed chunks) ?batch ()
+(* --- adversarial chunkings --- *)
 
 let test_adversarial_chunking () =
   let samples = 97 in
-  (* One pool-less, fixed-chunk reference per estimator; every
-     scheduling shape must reproduce it bit-for-bit. *)
+  (* One pool-less, fixed-chunk reference; every scheduling shape must
+     reproduce it bit-for-bit. *)
   let baseline =
-    Montecarlo.estimate_par ~ctx:(ctx_fixed 8) (Rng.create ~seed:2009)
-      ~samples integrand
+    estimate_on
+      ~ctx:(Run_ctx.make ~chunking:(Run_ctx.Fixed 8) ())
+      ~seed:2009 ~samples ()
   in
-  let baseline_prop =
-    Montecarlo.estimate_proportion_par ~ctx:(ctx_fixed 8)
-      (Rng.create ~seed:2009) ~samples predicate
-  in
-  let combos =
-    [
-      (1, 1);  (* single chunk: the whole job is one inline claim *)
-      (2, 1);  (* fewer chunks than a 4-domain pool *)
-      (2, 8);  (* batch larger than the whole job *)
-      (samples, 1);  (* one sample per chunk, claimed one at a time *)
-      (samples, 13);  (* one sample per chunk, ragged batches *)
-      (300, 1);  (* chunks >> samples: most chunks are empty *)
-      (300, 64);  (* empty chunks in big batches *)
-      (7, 64);  (* batch much larger than the chunk count *)
-      (64, 7);
-    ]
+  let chunkings =
+    Run_ctx.
+      [
+        Fixed 1;  (* single chunk: the whole job is one inline claim *)
+        Fixed 2;  (* fewer chunks than a 4-domain pool *)
+        Fixed samples;  (* one sample per chunk *)
+        Fixed 300;  (* chunks >> samples: most chunks are empty *)
+        Fixed 7;
+        Fixed 64;
+        Auto;  (* 64 chunks in batches of 16 (1 domain) or 4 (4 domains) *)
+      ]
   in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
-          List.iter
-            (fun (chunks, batch) ->
-              let what =
-                Printf.sprintf "domains=%d chunks=%d batch=%d" domains chunks
-                  batch
-              in
-              let ctx = ctx_fixed ~pool ~batch chunks in
-              Alcotest.check estimate ("estimate " ^ what) baseline
-                (Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009)
-                   ~samples integrand);
-              Alcotest.check estimate ("proportion " ^ what) baseline_prop
-                (Montecarlo.estimate_proportion_par ~ctx
-                   (Rng.create ~seed:2009) ~samples predicate))
-            combos))
+          List.iteri
+            (fun i chunking ->
+              let ctx = Run_ctx.make ~pool ~chunking () in
+              Alcotest.check estimate
+                (Printf.sprintf "domains=%d chunking #%d" domains i)
+                baseline
+                (estimate_on ~ctx ~seed:2009 ~samples ()))
+            chunkings))
     [ 1; 4 ]
 
 (* --- determinism under active fault plans, every domain count --- *)
@@ -80,26 +73,26 @@ let fault_spec = "seed=7;pool.chunk:crash:p=0.2;mc.sample_batch:crash:p=0.15"
 let test_determinism_under_faults () =
   let samples = 300 in
   let baseline =
-    Montecarlo.estimate_par ~ctx:(ctx_fixed 16) (Rng.create ~seed:2009)
-      ~samples integrand
+    estimate_on
+      ~ctx:(Run_ctx.make ~chunking:(Run_ctx.Fixed 16) ())
+      ~seed:2009 ~samples ()
   in
   List.iter
     (fun domains ->
       List.iter
-        (fun batch ->
+        (fun (what, chunking) ->
           (* A fresh engine per run: the plan's decision streams restart
-             so every (domains, batch) shape faces the same faults. *)
+             so every (domains, chunking) shape faces the same faults. *)
           let fault = Fault.create (Fault.parse_exn fault_spec) in
           let e =
-            Run_ctx.with_ctx ~domains ~fault ~warn:false
-              ~chunking:(Run_ctx.Fixed 16) ~batch (fun ctx ->
-                Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples
-                  integrand)
+            Run_ctx.with_ctx ~domains ~fault ~warn:false ~chunking (fun ctx ->
+                estimate_on ~ctx ~seed:2009 ~samples ())
           in
           Alcotest.check estimate
-            (Printf.sprintf "faulted run, domains=%d batch=%d" domains batch)
+            (Printf.sprintf "faulted run, domains=%d %s" domains what)
             baseline e)
-        [ 1; 3; 16 ])
+        [ ("fixed 16", Run_ctx.Fixed 16); ("fixed 3", Run_ctx.Fixed 3);
+          ("auto", Run_ctx.Auto) ])
     [ 1; 2; 4; 8 ]
 
 (* --- no domain starves on a job big enough to share --- *)
@@ -136,77 +129,68 @@ let test_batch_accounting () =
   Alcotest.(check int) "every chunk counted once" 42
     (value "pool.chunks.submitter" + value "pool.chunks.worker")
 
-(* --- the autotuner's plans are always runnable --- *)
+(* --- the Auto plan: a pure function of (samples, domains) --- *)
 
-let test_autotune_plans () =
-  let check_plan what ~samples (p : Autotune.plan) =
-    Alcotest.(check bool)
-      (what ^ ": 1 <= chunks <= samples")
-      true
-      (p.Autotune.chunks >= 1 && p.Autotune.chunks <= max 1 samples);
-    Alcotest.(check bool) (what ^ ": batch >= 1") true (p.Autotune.batch >= 1)
-  in
-  (* Deterministic fallback across adversarial shapes. *)
-  List.iter
-    (fun (domains, samples) ->
-      check_plan
-        (Printf.sprintf "fallback domains=%d samples=%d" domains samples)
-        ~samples
-        (Autotune.plan ~domains ~samples ()))
-    [ (1, 1); (1, 2); (64, 2); (64, 1_000_000); (0, 0); (-3, -7); (8, 4000) ];
-  (* Measured path: calibrate a sink with a real instrumented estimate,
-     then plan against its history. *)
-  let sink = Telemetry.create () in
-  Run_ctx.with_ctx ~telemetry:sink (fun ctx ->
-      ignore
-        (Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples:2000
-           integrand));
-  List.iter
-    (fun samples ->
-      let p = Autotune.plan ~telemetry:sink ~domains:4 ~samples () in
-      check_plan
-        (Printf.sprintf "measured samples=%d" samples)
-        ~samples p;
-      Alcotest.(check bool) "measured plans carry the cost" true
-        (p.Autotune.per_sample_ns <> None))
-    [ 2; 17; 4000; 1_000_000 ]
+(* The plan [Montecarlo.run] documents for [Run_ctx.Auto]. *)
+let auto_plan ~samples ~domains =
+  let chunks = min samples (max 64 (8 * domains)) in
+  (chunks, max 1 (chunks / (4 * domains)))
 
-(* --- auto vs fixed: the Run_ctx chunking policy is value-invariant --- *)
-
-let test_auto_equals_fixed () =
-  let samples = 400 in
+let test_auto_plans () =
+  (* Every Auto shape — fewer samples than chunks, the 64-chunk floor
+     and either side of it, a full-size job — runs and reproduces a
+     one-chunk sequential run, at every pool width up to 8. *)
+  let shapes = [ 2; 3; 63; 64; 65; 4000 ] in
   let fixed =
-    Run_ctx.with_ctx ~domains:4 ~chunking:(Run_ctx.Fixed 11) (fun ctx ->
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples
-          integrand)
+    List.map
+      (fun samples ->
+        let ctx = Run_ctx.make ~chunking:(Run_ctx.Fixed 1) () in
+        (samples, estimate_on ~ctx ~seed:2009 ~samples ()))
+      shapes
   in
-  (* Auto, telemetry off (deterministic fallback)... *)
-  let auto_cold =
-    Run_ctx.with_ctx ~domains:4 (fun ctx ->
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples
-          integrand)
-  in
-  (* ... and auto with a warm sink, where the measured cost model picks
-     a machine-dependent plan — still the same bits. *)
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let ctx = Run_ctx.make ~pool () in
+          List.iter
+            (fun (samples, expected) ->
+              Alcotest.check estimate
+                (Printf.sprintf "auto = fixed, samples=%d domains=%d" samples
+                   domains)
+                expected
+                (estimate_on ~ctx ~seed:2009 ~samples ()))
+            fixed))
+    [ 1; 2; 4; 8 ]
+
+let test_traced_schedule () =
+  (* Telemetry observes the schedule and never steers it: on a sink
+     that already holds an estimate's history, the next estimate claims
+     exactly the batches of the deterministic plan again.  The inert
+     fault engine keeps an exported chaos plan from adding retries. *)
+  let samples = 4000 and domains = 4 in
+  let chunks, batch = auto_plan ~samples ~domains in
+  let claims = (chunks + batch - 1) / batch in
   let sink = Telemetry.create () in
-  let auto_warm =
-    Run_ctx.with_ctx ~domains:4 ~telemetry:sink (fun ctx ->
-        ignore
-          (Montecarlo.estimate_par ~ctx (Rng.create ~seed:1) ~samples
-             integrand);
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples
-          integrand)
+  let batches () =
+    Option.value ~default:0
+      (List.assoc_opt "pool.batches" (Telemetry.counters sink))
   in
-  Alcotest.check estimate "auto (fallback) = fixed" fixed auto_cold;
-  Alcotest.check estimate "auto (measured) = fixed" fixed auto_warm;
-  let counters = Telemetry.counters sink in
-  let value name = Option.value ~default:0 (List.assoc_opt name counters) in
-  Alcotest.(check bool) "autotune decisions were recorded" true
-    (value "pool.autotune.jobs" >= 2)
+  Run_ctx.with_ctx ~domains ~telemetry:sink ~fault:(Fault.inert ())
+    (fun ctx ->
+      List.iter
+        (fun run ->
+          let before = batches () in
+          ignore (estimate_on ~ctx ~seed:2009 ~samples ());
+          Alcotest.(check int)
+            (Printf.sprintf "%s run claims ceil(%d / %d) batches" run chunks
+               batch)
+            claims
+            (batches () - before))
+        [ "cold"; "warm" ])
 
 let suite =
   [
-    Alcotest.test_case "adversarial chunk/batch combinations" `Quick
+    Alcotest.test_case "adversarial chunkings" `Quick
       test_adversarial_chunking;
     Alcotest.test_case "determinism under fault plans, domains 1/2/4/8"
       `Quick test_determinism_under_faults;
@@ -214,8 +198,8 @@ let suite =
       test_no_starvation;
     Alcotest.test_case "batch claims exactly cover the job" `Quick
       test_batch_accounting;
-    Alcotest.test_case "autotune plans are always runnable" `Quick
-      test_autotune_plans;
-    Alcotest.test_case "auto and fixed chunking are bit-identical" `Quick
-      test_auto_equals_fixed;
+    Alcotest.test_case "auto plans equal fixed for samples x domains" `Quick
+      test_auto_plans;
+    Alcotest.test_case "a traced estimate claims the same batches as an \
+                        untraced one" `Quick test_traced_schedule;
   ]
