@@ -162,6 +162,29 @@ let test_auto_plans () =
             fixed))
     [ 1; 2; 4; 8 ]
 
+(* --- Auto vs Fixed: the Run_ctx chunking policy is value-invariant --- *)
+
+let test_auto_equals_fixed () =
+  let samples = 400 in
+  let fixed =
+    Run_ctx.with_ctx ~domains:4 ~chunking:(Run_ctx.Fixed 11) (fun ctx ->
+        estimate_on ~ctx ~seed:2009 ~samples ())
+  in
+  (* Auto with no sink, and Auto on a sink that already holds an
+     earlier estimate's spans and counters: the same bits either way. *)
+  let auto_cold =
+    Run_ctx.with_ctx ~domains:4 (fun ctx ->
+        estimate_on ~ctx ~seed:2009 ~samples ())
+  in
+  let sink = Telemetry.create () in
+  let auto_warm =
+    Run_ctx.with_ctx ~domains:4 ~telemetry:sink (fun ctx ->
+        ignore (estimate_on ~ctx ~seed:1 ~samples ());
+        estimate_on ~ctx ~seed:2009 ~samples ())
+  in
+  Alcotest.check estimate "auto (no sink) = fixed" fixed auto_cold;
+  Alcotest.check estimate "auto (warm sink) = fixed" fixed auto_warm
+
 let test_traced_schedule () =
   (* Telemetry observes the schedule and never steers it: on a sink
      that already holds an estimate's history, the next estimate claims
@@ -200,6 +223,8 @@ let suite =
       test_batch_accounting;
     Alcotest.test_case "auto plans equal fixed for samples x domains" `Quick
       test_auto_plans;
+    Alcotest.test_case "auto and fixed chunking are bit-identical" `Quick
+      test_auto_equals_fixed;
     Alcotest.test_case "a traced estimate claims the same batches as an \
                         untraced one" `Quick test_traced_schedule;
   ]

@@ -68,6 +68,62 @@ let test_normal_quantile_roundtrip () =
         (Special.normal_cdf (Special.normal_quantile p)))
     [ 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99 ]
 
+(* The stratified draw's quantile path: bit-equal to [normal_quantile],
+   raising with the same message, and allocation-free per call. *)
+let test_normal_quantile_in_place () =
+  let ps =
+    [| 1e-15; 1e-12; 0.01; 0.1; 0.25; 0.4999; 0.5; 0.75; 0.99;
+       1. -. epsilon_float |]
+  in
+  List.iter
+    (fun sigma ->
+      Array.iter
+        (fun p ->
+          let a = [| nan; p |] in
+          Special.normal_quantile_in_place ~sigma a 1;
+          Alcotest.(check int64)
+            (Printf.sprintf "sigma %g, p %g" sigma p)
+            (Int64.bits_of_float (Special.normal_quantile ~sigma p))
+            (Int64.bits_of_float a.(1));
+          Alcotest.(check bool) "other slots untouched" true
+            (Float.is_nan a.(0)))
+        ps)
+    [ 1.; 0.05; 3.7 ];
+  let raises_like ~sigma p =
+    let expected =
+      try ignore (Special.normal_quantile ~sigma p); None
+      with Invalid_argument m -> Some m
+    in
+    let got =
+      try Special.normal_quantile_in_place ~sigma [| p |] 0; None
+      with Invalid_argument m -> Some m
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "sigma %g, p %g raises" sigma p)
+      true (expected <> None);
+    Alcotest.(check (option string))
+      (Printf.sprintf "sigma %g, p %g message" sigma p)
+      expected got
+  in
+  List.iter (raises_like ~sigma:1.) [ 0.; 1.; -0.5; nan ];
+  raises_like ~sigma:0. 0.5;
+  raises_like ~sigma:(-1.) 0.5;
+  (* Differencing a loop of [2n] calls against one of [n] leaves only
+     what each call allocates. *)
+  let a = Array.make 1 0. in
+  let words calls =
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      a.(0) <- ps.(i mod Array.length ps);
+      Special.normal_quantile_in_place ~sigma:0.05 a 0
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (words 1000);
+  let per_call = (words 2000 -. words 1000) /. 1000. in
+  if per_call > 0. then
+    Alcotest.failf "%.2f words allocated per call (> 0)" per_call
+
 let test_interval_probability () =
   (* P(|X| < sigma) = erf(1/sqrt 2) ~ 0.6827. *)
   check_close 1e-6 "one sigma" 0.6826894
@@ -144,6 +200,8 @@ let suite =
     Alcotest.test_case "normal pdf known values" `Quick test_normal_pdf_known;
     Alcotest.test_case "quantile round trip" `Quick
       test_normal_quantile_roundtrip;
+    Alcotest.test_case "in-place quantile is bit-equal to normal_quantile"
+      `Quick test_normal_quantile_in_place;
     Alcotest.test_case "interval probability" `Quick test_interval_probability;
     Alcotest.test_case "log_gamma known values" `Quick test_log_gamma_known;
     Alcotest.test_case "log_factorial vs gamma" `Quick
