@@ -204,7 +204,7 @@ module Ctx_flags = struct
          $(b,importance)[:SHIFT].  Every strategy is an equally \
          unbiased estimator of the same yield; the variance-reduced \
          ones reach a given confidence interval in far fewer samples \
-         on high-yield designs (see $(b,bench --mc))."
+         on high-yield designs (see $(b,bench --json))."
       in
       Arg.(value & opt string "plain"
            & info [ "mc-method" ] ~docv:"METHOD" ~doc)
