@@ -227,7 +227,7 @@ let print_arranger () =
 
 (* --- machine-readable suites: one row schema, one writer --- *)
 
-module Json = Nanodec_serve.Json
+module Json = Nanodec_json.Json
 module Run_ctx = Nanodec_parallel.Run_ctx
 module Telemetry = Nanodec_telemetry.Telemetry
 
@@ -482,15 +482,15 @@ let run_parallel ~quick =
     List.concat_map fst measured @ [ telemetry_overhead; fault_overhead ]
   in
   write_rows ~quick ~mode:"--json" "parallel" rows;
-  let oc = open_out "BENCH_telemetry.json" in
-  Printf.fprintf oc "{\n  \"workloads\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (name, sink) ->
-            Printf.sprintf "    {\"name\": %s, \"telemetry\": %s}"
-              (Json.to_string (Json.String name)) (Telemetry.to_json sink))
-          (List.map snd measured)));
-  close_out oc;
+  let workload (_, (name, sink)) =
+    Json.Obj
+      [ ("name", Json.String name); ("telemetry", Telemetry.to_json sink) ]
+  in
+  Out_channel.with_open_text "BENCH_telemetry.json" (fun oc ->
+      output_string oc
+        (Json.to_string
+           (Json.Obj [ ("workloads", Json.List (List.map workload measured)) ])
+        ^ "\n"));
   Printf.printf "wrote BENCH_telemetry.json (%d workloads)\n%!"
     (List.length measured);
   gate "determinism"
@@ -766,25 +766,25 @@ let run_mc ~quick =
 module Serve = Nanodec_serve
 
 let serve_result_of line response =
-  match Serve.Json.parse response with
+  match Json.parse response with
   | Error msg ->
     Printf.eprintf "FAIL: unparsable daemon response to %s: %s\n" line msg;
     exit 1
   | Ok json ->
     let field name to_v =
-      match Option.bind (Serve.Json.member name json) to_v with
+      match Option.bind (Json.member name json) to_v with
       | Some v -> v
       | None ->
         Printf.eprintf "FAIL: daemon response to %s lacks %S: %s\n" line name
           response;
         exit 1
     in
-    if field "status" Serve.Json.to_string_opt <> "ok" then begin
+    if field "status" Json.to_string_opt <> "ok" then begin
       Printf.eprintf "FAIL: daemon answered an error to %s: %s\n" line response;
       exit 1
     end;
-    ( field "cached" Serve.Json.to_bool_opt,
-      Serve.Json.to_string (field "result" Option.some) )
+    ( field "cached" Json.to_bool_opt,
+      Json.to_string (field "result" Option.some) )
 
 (* Boots a daemon on [socket_path] inside [ctx], runs [f], asks it to
    shut down and joins its drain. *)

@@ -366,92 +366,48 @@ let span_totals t =
   List.iter visit (span_trees t);
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-(* --- JSON export ---
+(* --- JSON export: the schema is documented in TUTORIAL.md §10 --- *)
 
-   Hand-rolled writer: the repo deliberately has no JSON dependency.
-   The schema is stable and documented in TUTORIAL.md §10. *)
+module Json = Nanodec_json.Json
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+let rec span_json s =
+  Json.(
+    Obj
+      [
+        ("name", String s.span_name);
+        ("domain", Int s.domain);
+        ("start_s", Float s.start_s);
+        ("dur_s", Float (s.stop_s -. s.start_s));
+        ("children", List (List.map span_json s.children));
+      ])
 
-let rec json_span buf indent s =
-  let pad = String.make indent ' ' in
-  Buffer.add_string buf (Printf.sprintf "%s{\"name\": \"" pad);
-  json_escape buf s.span_name;
-  Buffer.add_string buf
-    (Printf.sprintf "\", \"domain\": %d, \"start_s\": %.9f, \"dur_s\": %.9f"
-       s.domain s.start_s (s.stop_s -. s.start_s));
-  (match s.children with
-  | [] -> ()
-  | kids ->
-    Buffer.add_string buf ", \"children\": [\n";
-    List.iteri
-      (fun i k ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        json_span buf (indent + 2) k)
-      kids;
-    Buffer.add_string buf (Printf.sprintf "\n%s]" pad));
-  Buffer.add_string buf "}"
+let hist_json h =
+  let bucket (le, n) = Json.(Obj [ ("le_s", Float le); ("count", Int n) ]) in
+  Json.
+    ( h.hs_name,
+      Obj
+        [
+          ("count", Int h.hs_count);
+          ("sum_s", Float h.hs_sum_s);
+          ("min_s", Float h.hs_min_s);
+          ("max_s", Float h.hs_max_s);
+          ("buckets", List (List.map bucket h.hs_buckets));
+        ] )
 
 let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"version\": 1,\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"dropped_spans\": %d,\n" (dropped_spans t));
-  Buffer.add_string buf "  \"spans\": [\n";
-  let trees = span_trees t in
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      json_span buf 4 s)
-    trees;
-  Buffer.add_string buf "\n  ],\n  \"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "\"";
-      json_escape buf name;
-      Buffer.add_string buf (Printf.sprintf "\": %d" v))
-    (counters t);
-  Buffer.add_string buf "},\n  \"histograms\": {\n";
-  let hs = histograms t in
-  List.iteri
-    (fun i h ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "    \"";
-      json_escape buf h.hs_name;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\": {\"count\": %d, \"sum_s\": %.9f, \"min_s\": %.9f, \
-            \"max_s\": %.9f, \"buckets\": ["
-           h.hs_count h.hs_sum_s h.hs_min_s h.hs_max_s);
-      List.iteri
-        (fun j (le, n) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf "{\"le_s\": %.9g, \"count\": %d}" le n))
-        h.hs_buckets;
-      Buffer.add_string buf "]}")
-    hs;
-  Buffer.add_string buf "\n  }\n}\n";
-  Buffer.contents buf
+  Json.(
+    Obj
+      [
+        ("version", Int 1);
+        ("dropped_spans", Int (dropped_spans t));
+        ("spans", List (List.map span_json (span_trees t)));
+        ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) (counters t)));
+        ("histograms", Obj (List.map hist_json (histograms t)));
+      ])
 
 let write_json t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json t))
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string (to_json t) ^ "\n"))
 
 (* --- human-readable summary --- *)
 

@@ -121,13 +121,17 @@ type hist_stats = {
 
 val histograms : sink -> hist_stats list
 
-val to_json : sink -> string
-(** The whole sink as a JSON document:
-    [{"version": 1, "dropped_spans": n, "spans": [span-trees],
-      "counters": {...}, "histograms": {...}}].
-    Self-contained writer — no JSON dependency. *)
+val to_json : sink -> Nanodec_json.Json.t
+(** The whole sink as one JSON value:
+    [{"version":1,"dropped_spans":n,"spans":[...],"counters":{...},
+      "histograms":{...}}].  Each span is
+    [{"name","domain","start_s","dur_s","children":[...]}], counters map
+    name to value, and each histogram is
+    [{"count","sum_s","min_s","max_s","buckets":[{"le_s","count"}]}]
+    (seconds; non-empty buckets only). *)
 
 val write_json : sink -> path:string -> unit
+(** [Json.to_string (to_json sink)] and a newline: one line per file. *)
 
 val pp_summary : Format.formatter -> sink -> unit
 (** The human-readable profile behind the CLI's [--profile]: spans

@@ -428,13 +428,14 @@ let test_telemetry_records_faults () =
     (Fault.fired f);
   let path = Filename.temp_file "nanodec-fault" ".json" in
   Nanodec_telemetry.Telemetry.write_json sink ~path;
-  let ic = open_in path in
-  let json = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let text = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
+  let module Json = Nanodec_json.Json in
+  let counters = Result.map (Json.member "counters") (Json.parse text) in
+  let counter name = Option.bind (Result.get_ok counters) (Json.member name) in
   Alcotest.(check bool) "sink saw the injection" true
-    (contains json "fault.fired.pool.chunk"
-    && contains json "fault.injected.crash")
+    (counter "fault.fired.pool.chunk" = Some (Json.Int 1)
+    && counter "fault.injected.crash" = Some (Json.Int 1))
 
 let suite =
   [

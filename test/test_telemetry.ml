@@ -3,7 +3,8 @@
 
    The headline properties: recording is domain-safe and exception-safe,
    exported span trees are always well-formed (even under a
-   non-monotonic wall clock), the JSON export is syntactically valid,
+   non-monotonic wall clock), the JSON export parses back to what was
+   recorded,
    and a context never changes numeric results — the bitwise
    telemetry-on/off oracle lives in lib/proptest/oracles.ml; here we
    test the machinery itself. *)
@@ -142,146 +143,58 @@ let test_spans_across_domains () =
   | None -> Alcotest.fail "chunk spans missing from totals");
   Alcotest.(check int) "nothing dropped" 0 (Telemetry.dropped_spans sink)
 
-(* --- JSON export: a minimal recursive-descent validator --- *)
+(* --- JSON export: rendered, then parsed back with Json.parse --- *)
 
-exception Bad_json of string
+module Json = Nanodec_json.Json
 
-let validate_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word =
-    String.iter expect word
-  in
-  let string_lit () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-        | Some 'u' ->
-          advance ();
-          for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> fail "bad \\u escape"
-          done
-        | _ -> fail "bad escape");
-        go ()
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    let digits () =
-      let start = !pos in
-      while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = start then fail "expected digit"
-    in
-    if peek () = Some '-' then advance ();
-    digits ();
-    if peek () = Some '.' then (advance (); digits ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ())
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then advance ()
-      else
-        let rec members () =
-          skip_ws ();
-          string_lit ();
-          skip_ws ();
-          expect ':';
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected , or } in object"
-        in
-        members ()
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then advance ()
-      else
-        let rec elements () =
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected , or ] in array"
-        in
-        elements ()
-    | Some '"' -> string_lit ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail "expected a JSON value"
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage"
+let json = Alcotest.testable (Fmt.of_to_string Json.to_string) ( = )
+
+(* [export sink path] walks object fields of the parsed export. *)
+let export sink =
+  match Json.parse (Json.to_string (Telemetry.to_json sink)) with
+  | Error msg -> Alcotest.failf "export does not parse: %s" msg
+  | Ok doc ->
+    List.fold_left (fun j key -> Option.bind j (Json.member key)) (Some doc)
 
 let test_json_export () =
   let sink = Telemetry.create () in
-  Telemetry.with_span (Some sink) "needs \"escaping\"\n" (fun () ->
+  let span = "needs \"escaping\"\n" and counter = "c\\slash" in
+  let hist = "h\"\n\\" in
+  Telemetry.with_span (Some sink) span (fun () ->
       Telemetry.with_span (Some sink) "child" (fun () -> ()));
-  Telemetry.count (Some sink) "c\\slash" 3;
-  Telemetry.record (Some sink) "h" 0.001;
-  let json = Telemetry.to_json sink in
-  (try validate_json json
-   with Bad_json msg -> Alcotest.failf "invalid JSON (%s):\n%s" msg json);
-  let contains needle =
-    let nl = String.length needle and jl = String.length json in
-    let rec at i =
-      i + nl <= jl && (String.sub json i nl = needle || at (i + 1))
-    in
-    at 0
-  in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "export mentions %S" needle)
-        true (contains needle))
-    [ "\"version\": 1"; "\"spans\""; "\"counters\""; "\"histograms\"" ]
+  Telemetry.count (Some sink) counter 3;
+  Telemetry.record (Some sink) hist 0.001;
+  let get = export sink in
+  Alcotest.(check (option json)) "version" (Some (Int 1)) (get [ "version" ]);
+  (match get [ "spans" ] with
+  | Some (List [ root ]) ->
+    Alcotest.(check (option json)) "escaped span name round-trips"
+      (Some (String span)) (Json.member "name" root);
+    (match Json.member "children" root with
+    | Some (List [ child ]) ->
+      Alcotest.(check (option json)) "child nests under its parent"
+        (Some (String "child")) (Json.member "name" child);
+      Alcotest.(check (option json)) "leaf has no children" (Some (List []))
+        (Json.member "children" child)
+    | _ -> Alcotest.fail "expected one child span")
+  | _ -> Alcotest.fail "expected one root span");
+  Alcotest.(check (option json)) "counter under its escaped name"
+    (Some (Int 3)) (get [ "counters"; counter ]);
+  Alcotest.(check (option json)) "histogram under its escaped name"
+    (Some (Int 1)) (get [ "histograms"; hist; "count" ])
 
 let test_json_export_empty () =
-  let sink = Telemetry.create () in
-  try validate_json (Telemetry.to_json sink)
-  with Bad_json msg -> Alcotest.failf "empty sink export invalid (%s)" msg
+  let get = export (Telemetry.create ()) in
+  List.iter
+    (fun (field, want) ->
+      Alcotest.(check (option json)) field (Some want) (get [ field ]))
+    [
+      ("version", Json.Int 1);
+      ("dropped_spans", Int 0);
+      ("spans", List []);
+      ("counters", Obj []);
+      ("histograms", Obj []);
+    ]
 
 (* --- Run_ctx --- *)
 
