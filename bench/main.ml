@@ -332,6 +332,14 @@ type parallel_workload = {
       (* labelled reproduced values; the digest compared across runs *)
 }
 
+(* Monte-Carlo window yield of one Fig. 7 design. *)
+let fig7_mc_yield ?ctx ~samples (ct, m) =
+  let spec = Design.spec ~code_type:ct ~code_length:m () in
+  let analysis = Nanodec_crossbar.Cave.analyze spec.Design.cave in
+  (Nanodec_crossbar.Cave.mc_yield_window_par ?ctx (Rng.create ~seed:2009)
+     ~samples analysis)
+    .Montecarlo.mean
+
 let parallel_workloads ~quick =
   let mc_samples = if quick then 500 else 4_000 in
   let label ct m = Printf.sprintf "%s-M%d" (Codebook.name ct) m in
@@ -343,15 +351,7 @@ let parallel_workloads ~quick =
         (fun ?ctx () ->
           List.map
             (fun (ct, m) ->
-              let spec = Design.spec ~code_type:ct ~code_length:m () in
-              let analysis =
-                Nanodec_crossbar.Cave.analyze spec.Design.cave
-              in
-              let e =
-                Nanodec_crossbar.Cave.mc_yield_window_par ?ctx
-                  (Rng.create ~seed:2009) ~samples:mc_samples analysis
-              in
-              (label ct m, e.Montecarlo.mean))
+              (label ct m, fig7_mc_yield ?ctx ~samples:mc_samples (ct, m)))
             Figures.fig7_candidates);
     };
     (* The full code-family x length grid, analytic design flow. *)
@@ -452,18 +452,57 @@ let parallel_workload_rows ~reps w =
   in
   (rows, (w.wname, sink))
 
-(* Relative cost of running [w] with [on] instead of [off], best of 5
-   sequential runs each; the two must give the same values. *)
-let overhead_row w layer ?off ~on () =
-  let reps = 5 in
-  ignore (w.run ());
-  let off_values, off_t = time_best ~reps (fun () -> w.run ?ctx:off ()) in
-  let on_values, on_t = time_best ~reps (fun () -> w.run ~ctx:on ()) in
-  let overhead = (on_t -. off_t) /. off_t in
-  Printf.printf "%s (%s, seq, best of %d): off %.4fs, on %.4fs (%+.2f%%)\n%!"
-    layer w.wname reps off_t on_t (100. *. overhead);
-  { suite = "parallel"; name = w.wname; layer; value = overhead;
-    unit = "frac"; identical = on_values = off_values }
+(* Process CPU seconds of [f ()].  The overhead runs stay on the calling
+   domain, so this is their own work, without the time a busy host
+   keeps them waiting. *)
+let cpu_time f =
+  let t0 = Unix.times () in
+  let r = f () in
+  let t1 = Unix.times () in
+  (r, t1.tms_utime +. t1.tms_stime -. t0.tms_utime -. t0.tms_stime)
+
+(* Relative cost of the 500-sample fig7-mc-yield run with [on] instead
+   of [off]: the median over [overhead_pairs] off/on pairs of the on/off
+   CPU-time ratio, minus 1.  A pair runs the twelve designs once each
+   way, design by design and in alternating order, so its two halves
+   share the same stretch of host time; the median drops the pairs a
+   neighbour still disturbed.  (On a shared 2-vCPU host one design's
+   run costs 1x or 1.7x the CPU time, in phases of about a second.)
+   Every run must give the reference values. *)
+let overhead_pairs = 31
+
+let overhead_row layer ?off ~on () =
+  let designs = Array.of_list Figures.fig7_candidates in
+  let run ctx d = fig7_mc_yield ?ctx ~samples:500 designs.(d) in
+  let reference = Array.init (Array.length designs) (run None) in
+  let identical = ref true in
+  let timed ctx d =
+    let value, t = cpu_time (fun () -> run ctx d) in
+    identical := !identical && value = reference.(d);
+    t
+  in
+  let ratios =
+    Array.init overhead_pairs (fun p ->
+        let off_t = ref 0. and on_t = ref 0. in
+        Array.iteri
+          (fun d _ ->
+            let time_off () = off_t := !off_t +. timed off d in
+            let time_on () = on_t := !on_t +. timed (Some on) d in
+            if (p + d) mod 2 = 0 then (time_off (); time_on ())
+            else (time_on (); time_off ()))
+          designs;
+        !on_t /. !off_t)
+  in
+  Array.sort Float.compare ratios;
+  let overhead = ratios.(overhead_pairs / 2) -. 1. in
+  Printf.printf
+    "%s (fig7-mc-yield, seq, median of %d CPU-time pairs): %+.2f%% (pairs \
+     %+.2f%% .. %+.2f%%)\n%!"
+    layer overhead_pairs (100. *. overhead)
+    (100. *. (ratios.(0) -. 1.))
+    (100. *. (ratios.(overhead_pairs - 1) -. 1.));
+  { suite = "parallel"; name = "fig7-mc-yield"; layer; value = overhead;
+    unit = "frac"; identical = !identical }
 
 let run_parallel ~quick =
   let reps = if quick then 1 else 3 in
@@ -471,11 +510,11 @@ let run_parallel ~quick =
   let measured = List.map (parallel_workload_rows ~reps) workloads in
   let mc = List.hd workloads in
   let telemetry_overhead =
-    overhead_row mc "telemetry_overhead"
+    overhead_row "telemetry_overhead"
       ~on:(Run_ctx.make ~telemetry:(Telemetry.create ()) ()) ()
   in
   let fault_overhead =
-    overhead_row mc "fault_overhead" ~off:(Run_ctx.make ())
+    overhead_row "fault_overhead" ~off:(Run_ctx.make ())
       ~on:(Run_ctx.make ~fault:(Nanodec_fault.Fault.inert ()) ()) ()
   in
   let rows =
@@ -865,30 +904,33 @@ let run_serve ~quick =
     | exception Unix.Unix_error _ -> 0
   in
   (* Phase 2: a fresh daemon restored from the snapshot — warm from
-     request one, byte-identical to the pre-restart cold bytes. *)
+     request one (every answer of every pass, the first included, cached
+     and byte-identical to the pre-restart cold bytes); timed as the
+     best of [warm_reps] passes, like the warm phase. *)
   let restart_s, restart_ok =
     Run_ctx.with_ctx ~domains:4 @@ fun ctx ->
     with_daemon ~cache_file ctx socket_path @@ fun () ->
     Serve.Client.with_connection (`Unix socket_path) @@ fun conn ->
-    let t0 = now () in
-    let answers =
-      List.map
-        (fun (name, line) ->
-          let cached, result =
-            serve_result_of line (Serve.Client.request conn line)
-          in
-          (name, cached, result))
-        requests
+    let pass () =
+      let t0 = now () in
+      let warm =
+        List.for_all
+          (fun (name, line) ->
+            let cached, result =
+              serve_result_of line (Serve.Client.request conn line)
+            in
+            cached
+            && List.exists
+                 (fun (n, _, _, _, cold_result) ->
+                   String.equal n name && String.equal result cold_result)
+                 designs)
+          requests
+      in
+      (now () -. t0, warm)
     in
-    ( now () -. t0,
-      List.for_all
-        (fun (name, cached, result) ->
-          cached
-          && List.exists
-               (fun (n, _, _, _, cold_result) ->
-                 String.equal n name && String.equal result cold_result)
-               designs)
-        answers )
+    let passes = List.init warm_reps (fun _ -> pass ()) in
+    ( List.fold_left (fun best (t, _) -> Float.min best t) infinity passes,
+      List.for_all snd passes )
   in
   (try Sys.remove cache_file with Sys_error _ -> ());
   (* Phase 3: single-flight.  Sixteen clients march in lockstep rounds
@@ -1003,9 +1045,9 @@ let run_serve ~quick =
     "serve aggregate: cold %.4fs -> warm %.4fs (%.1fx), identical: %b\n"
     cold_total warm_total (cold_total /. warm_total) all_identical;
   Printf.printf
-    "serve restart: %d-byte snapshot, warm pass %.4fs (%.1fx vs cold), warm \
-     and identical: %b\n"
-    snapshot_bytes restart_s (cold_total /. restart_s) restart_ok;
+    "serve restart: %d-byte snapshot, best of %d warm passes %.4fs (%.1fx \
+     vs cold), warm and identical: %b\n"
+    snapshot_bytes warm_reps restart_s (cold_total /. restart_s) restart_ok;
   Printf.printf
     "serve single-flight: %d clients, %d requests over %d distinct estimates \
      (%d samples each): %d estimate builds, serial-replay identical: %b\n"
