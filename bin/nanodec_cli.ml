@@ -226,8 +226,9 @@ module Ctx_flags = struct
           $ no_degrade_arg $ chunks_arg $ mc_method_arg $ rel_error_arg)
 
   (* One range check per numeric knob, shared by every subcommand and
-     — through the [Nanodec_error] validators — with the serve
-     protocol, so both surfaces reject bad values identically. *)
+     — through the [Nanodec_error] validators and the [Run_ctx]
+     parsers — with the serve protocol, so both surfaces reject bad
+     values identically.  Returns the parsed method and chunking. *)
   let validate flags =
     Option.iter
       (fun d ->
@@ -237,26 +238,16 @@ module Ctx_flags = struct
     E.check_seed ~what:"--seed" flags.seed;
     Option.iter (E.check_mc_samples ~what:"--mc-samples") flags.mc_samples;
     Option.iter (E.check_timeout_s ~what:"--timeout") flags.timeout;
-    ignore (E.parse_mc_method ~what:"--mc-method" flags.mc_method);
-    Option.iter (E.check_rel_error ~what:"--rel-error") flags.rel_error
-
-  let chunking_of_flags flags =
-    match E.parse_chunks ~what:"--chunks" flags.chunks with
-    | `Auto -> Run_ctx.Auto
-    | `Fixed n -> Run_ctx.Fixed n
-
-  let mc_method_of_flags flags =
-    match E.parse_mc_method ~what:"--mc-method" flags.mc_method with
-    | `Plain -> Run_ctx.Plain
-    | `Antithetic -> Run_ctx.Antithetic
-    | `Stratified k -> Run_ctx.Stratified k
-    | `Importance f -> Run_ctx.Importance f
+    let mc_method =
+      Run_ctx.parse_mc_method ~what:"--mc-method" flags.mc_method
+    in
+    Option.iter (E.check_rel_error ~what:"--rel-error") flags.rel_error;
+    (mc_method, Run_ctx.parse_chunking ~what:"--chunks" flags.chunks)
 
   (* [want_pool = false] keeps cheap closed-form commands from spawning
      domains they would never use; telemetry still works. *)
   let with_ctx ?(want_pool = true) flags f =
-    validate flags;
-    let chunking = chunking_of_flags flags in
+    let mc_method, chunking = validate flags in
     let sink =
       if flags.telemetry <> None || flags.profile then
         Some (Telemetry.create ())
@@ -282,7 +273,7 @@ module Ctx_flags = struct
       Run_ctx.with_ctx ?domains ~seed:flags.seed
         ~mc_samples:(Option.value flags.mc_samples ~default:0)
         ?telemetry:sink ?fault ?timeout_s:flags.timeout ~chunking
-        ~mc_method:(mc_method_of_flags flags) ?rel_error:flags.rel_error
+        ~mc_method ?rel_error:flags.rel_error
         ~degrade:(not flags.no_degrade) f
     in
     Option.iter
@@ -295,15 +286,6 @@ module Ctx_flags = struct
       sink;
     result
 end
-
-let make_spec code_type code_length radix n_wires raw_bits =
-  (* Same ranges as the serve protocol's [params] validation. *)
-  E.check_int_range ~what:"--length" ~min:1 ~max:64 code_length;
-  E.check_int_range ~what:"--radix" ~min:2 ~max:16 radix;
-  E.check_int_range ~what:"--wires" ~min:1 ~max:10_000 n_wires;
-  E.check_int_range ~what:"--raw-bits" ~min:1 ~max:1_000_000_000 raw_bits;
-  let base = { Design.default_spec with Design.raw_bits } in
-  Design.spec ~base ~radix ~n_wires ~code_type ~code_length ()
 
 (* --- evaluate --- *)
 
@@ -320,7 +302,11 @@ let evaluate_cmd =
          closed-form report is sequential either way. *)
       let mc = flags.Ctx_flags.mc_samples <> None in
       Ctx_flags.with_ctx ~want_pool:mc flags @@ fun ctx ->
-      let spec = make_spec code_type code_length radix n_wires raw_bits in
+      let spec =
+        Design.checked_spec
+          ~what:(function "raw_bits" -> "--raw-bits" | knob -> "--" ^ knob)
+          ~code_type ~code_length ~radix ~n_wires ~raw_bits
+      in
       let report = Design.evaluate spec in
       Format.printf "%a@." Design.pp_report report;
       if mc then (

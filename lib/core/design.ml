@@ -23,6 +23,21 @@ let spec ?(base = default_spec) ?radix ?n_wires ~code_type ~code_length () =
   in
   { base with cave }
 
+let checked_spec ~what ~code_type ~code_length ~radix ~n_wires ~raw_bits =
+  let check knob ~min ~max n =
+    Nanodec_error.check_int_range ~what:(what knob) ~min ~max n
+  in
+  check "length" ~min:1 ~max:64 code_length;
+  check "radix" ~min:2 ~max:16 radix;
+  check "wires" ~min:1 ~max:10_000 n_wires;
+  check "raw_bits" ~min:1 ~max:1_000_000_000 raw_bits;
+  (match Codebook.validate_length ~radix ~length:code_length code_type with
+  | Ok () -> ()
+  | Error msg ->
+    Nanodec_error.fail (Nanodec_error.Invalid_input { what = msg; hint = None }));
+  spec ~base:{ default_spec with raw_bits } ~radix ~n_wires ~code_type
+    ~code_length ()
+
 type report = {
   spec : spec;
   omega : int;

@@ -29,6 +29,21 @@ val spec :
   spec
 (** Convenience constructor: [base] defaults to {!default_spec}. *)
 
+val checked_spec :
+  what:(string -> string) ->
+  code_type:Codebook.t ->
+  code_length:int ->
+  radix:int ->
+  n_wires:int ->
+  raw_bits:int ->
+  spec
+(** {!spec} over {!default_spec} with [raw_bits], after the checks the
+    CLI and the serve protocol share: length in [1, 64], radix in
+    [2, 16], wires in [1, 10_000], raw bits in [1, 10^9] (in that
+    order), then {!Codebook.validate_length}.  A failure raises
+    [Invalid_input]; a range error names the knob as [what "length"],
+    [what "radix"], [what "wires"] or [what "raw_bits"]. *)
+
 type report = {
   spec : spec;
   omega : int;  (** code space size *)

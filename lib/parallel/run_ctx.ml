@@ -28,6 +28,18 @@ type t = {
 let default_seed = 2009
 let default_mc_samples = 4000
 
+let parse_chunking ?what s =
+  match Nanodec_error.parse_chunks ?what s with
+  | `Auto -> Auto
+  | `Fixed n -> Fixed n
+
+let parse_mc_method ?what s =
+  match Nanodec_error.parse_mc_method ?what s with
+  | `Plain -> Plain
+  | `Antithetic -> Antithetic
+  | `Stratified k -> Stratified k
+  | `Importance f -> Importance f
+
 (* Shared by [make] and [with_request], so both surfaces reject the
    Monte-Carlo knobs with identical messages. *)
 let check_mc_knobs ~who ~mc_method ~rel_error =

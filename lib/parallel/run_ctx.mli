@@ -78,6 +78,15 @@ val default_seed : int
 val default_mc_samples : int
 (** 4000 — the full-resolution Monte-Carlo workload of the bench. *)
 
+val parse_chunking : ?what:string -> string -> chunking
+(** The CLI's [--chunks] and the protocol's [chunks]: ["auto"] or a
+    positive decimal integer, by {!Nanodec_error.parse_chunks} (which
+    names [what] in the [Invalid_input] it raises otherwise). *)
+
+val parse_mc_method : ?what:string -> string -> mc_method
+(** The CLI's [--mc-method] and the protocol's [method], by
+    {!Nanodec_error.parse_mc_method}. *)
+
 val make :
   ?domains:int ->
   ?pool:Pool.t ->

@@ -153,36 +153,22 @@ let exec_of_json json =
       | Some spec -> Some (Fault.create (Fault.parse_exn spec))
     in
     let no_degrade = Option.value (bool_field e "no_degrade") ~default:false in
+    (* Same grammar and bounds as the CLI's --chunks, --mc-method and
+       --rel-error, through the same shared parsers and validators, so
+       both surfaces reject bad values identically. *)
     let chunking =
-      match obj_field e "chunks" with
-      | None | Some Json.Null -> None
-      | Some (Json.Int n) ->
-        Some
-          (match E.parse_chunks ~what:"chunks" (string_of_int n) with
-          | `Auto -> Run_ctx.Auto
-          | `Fixed n -> Run_ctx.Fixed n)
-      | Some (Json.String s) ->
-        Some
-          (match E.parse_chunks ~what:"chunks" s with
-          | `Auto -> Run_ctx.Auto
-          | `Fixed n -> Run_ctx.Fixed n)
-      | Some v ->
-        E.invalid_inputf ~hint:(Printf.sprintf "got %s" (Json.to_string v))
-          "field \"chunks\" must be 'auto' or a positive integer"
+      Option.map (Run_ctx.parse_chunking ~what:"chunks")
+        (match obj_field e "chunks" with
+        | None | Some Json.Null -> None
+        | Some (Json.Int n) -> Some (string_of_int n)
+        | Some (Json.String s) -> Some s
+        | Some v ->
+          E.invalid_inputf ~hint:(Printf.sprintf "got %s" (Json.to_string v))
+            "field \"chunks\" must be 'auto' or a positive integer")
     in
-    (* Same grammar and bounds as the CLI's --mc-method/--rel-error,
-       through the same shared validators, so both surfaces reject bad
-       values identically. *)
     let mc_method =
-      match string_field e "method" with
-      | None -> None
-      | Some s ->
-        Some
-          (match E.parse_mc_method ~what:"method" s with
-          | `Plain -> Run_ctx.Plain
-          | `Antithetic -> Run_ctx.Antithetic
-          | `Stratified k -> Run_ctx.Stratified k
-          | `Importance f -> Run_ctx.Importance f)
+      Option.map (Run_ctx.parse_mc_method ~what:"method")
+        (string_field e "method")
     in
     let rel_error = float_field e "rel_error" in
     Option.iter (E.check_rel_error ~what:"rel_error") rel_error;
@@ -239,22 +225,14 @@ let params_of_json json =
       "field \"params\" must be an object"
 
 let spec_of_params params =
+  let field name ~default = Option.value (int_field params name) ~default in
   let code_type = code_type_field params in
-  let code_length = Option.value (int_field params "length") ~default:10 in
-  E.check_int_range ~what:"length" ~min:1 ~max:64 code_length;
-  let radix = Option.value (int_field params "radix") ~default:2 in
-  E.check_int_range ~what:"radix" ~min:2 ~max:16 radix;
-  let n_wires = Option.value (int_field params "wires") ~default:20 in
-  E.check_int_range ~what:"wires" ~min:1 ~max:10_000 n_wires;
-  let raw_bits =
-    Option.value (int_field params "raw_bits") ~default:(16 * 1024 * 8)
-  in
-  E.check_int_range ~what:"raw_bits" ~min:1 ~max:1_000_000_000 raw_bits;
-  (match Codebook.validate_length ~radix ~length:code_length code_type with
-  | Ok () -> ()
-  | Error msg -> E.fail (E.Invalid_input { what = msg; hint = None }));
-  let base = { Design.default_spec with Design.raw_bits } in
-  Design.spec ~base ~radix ~n_wires ~code_type ~code_length ()
+  let code_length = field "length" ~default:10 in
+  let radix = field "radix" ~default:2 in
+  let n_wires = field "wires" ~default:20 in
+  let raw_bits = field "raw_bits" ~default:(16 * 1024 * 8) in
+  Design.checked_spec ~what:Fun.id ~code_type ~code_length ~radix ~n_wires
+    ~raw_bits
 
 (* --- response rendering ---
 
