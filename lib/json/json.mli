@@ -1,9 +1,11 @@
 (** Minimal JSON: a value type, a hardened recursive-descent parser and
     a single-line writer.
 
-    The repo deliberately carries no JSON dependency (the telemetry
-    exporter hand-writes its documents); the serve protocol needs the
-    other direction too, so this module is the one place JSON is read.
+    The repo's one JSON implementation, in a stdlib-only leaf library
+    ([nanodec_json]) so that every layer can use it: the serve protocol
+    reads and writes requests with it, the telemetry export and the
+    bench's [BENCH_*.json] files are built as {!t} values and rendered
+    by {!to_string}.  [Nanodec_serve.Json] is the same module.
     The parser is written for a network boundary: it never raises on
     malformed input (it returns [Error] with a position-carrying
     message), bounds nesting depth so adversarial [[[[…] input cannot

@@ -1,5 +1,5 @@
-(* Zero-dependency observability: spans, counters and log-scale latency
-   histograms behind one [sink] value.
+(* Observability with no dependency beyond the repo's Json: spans,
+   counters and log-scale latency histograms behind one [sink] value.
 
    Domain-safety model.  Counters and histograms are arrays of atomics —
    any domain may hit them concurrently.  Spans are recorded into

@@ -1,5 +1,6 @@
-(** Zero-dependency observability: monotonic-clock spans, counters and
-    log-scale latency histograms behind one {!sink}.
+(** Observability with no dependency beyond the repo's {!Nanodec_json}:
+    monotonic-clock spans, counters and log-scale latency histograms
+    behind one {!sink}, exported as one {!Nanodec_json.Json.t}.
 
     The library instruments its hot paths through optional sinks — a
     [None] sink short-circuits to the bare computation, so the cost of
