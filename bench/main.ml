@@ -914,7 +914,7 @@ let run_serve ~quick =
     let pass () =
       let t0 = now () in
       let warm =
-        List.for_all
+        List.map
           (fun (name, line) ->
             let cached, result =
               serve_result_of line (Serve.Client.request conn line)
@@ -926,7 +926,7 @@ let run_serve ~quick =
                  designs)
           requests
       in
-      (now () -. t0, warm)
+      (now () -. t0, List.for_all Fun.id warm)
     in
     let passes = List.init warm_reps (fun _ -> pass ()) in
     ( List.fold_left (fun best (t, _) -> Float.min best t) infinity passes,

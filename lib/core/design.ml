@@ -33,8 +33,7 @@ let checked_spec ~what ~code_type ~code_length ~radix ~n_wires ~raw_bits =
   check "raw_bits" ~min:1 ~max:1_000_000_000 raw_bits;
   (match Codebook.validate_length ~radix ~length:code_length code_type with
   | Ok () -> ()
-  | Error msg ->
-    Nanodec_error.fail (Nanodec_error.Invalid_input { what = msg; hint = None }));
+  | Error what -> Nanodec_error.(fail (Invalid_input { what; hint = None })));
   spec ~base:{ default_spec with raw_bits } ~radix ~n_wires ~code_type
     ~code_length ()
 
