@@ -15,16 +15,20 @@
    observing [finished] under the same mutex — so the fan-in is
    data-race free without per-slot atomics.
 
-   Supervision (deadlines, cancellation tokens, injected-crash retries,
-   degradation to sequential) is cooperative: it acts only at chunk
-   boundaries (checked inside the batch loop, so a deadline can expire
-   mid-batch), because a running domain cannot be preempted.  Its
-   policy — fault engine, degrade, warn, deadline, token — belongs to
-   the job, never to the pool, so jobs with different policies share
-   one pool and no job's outcome changes how the next one runs.  All
-   of it leaves successful results bit-for-bit identical to an
-   unsupervised run — recovery re-executes restartable chunk bodies,
-   never reorders the fan-in.
+   There is one executor.  A job that does not fan out (no workers, a
+   single claim, or a submission while the pool is busy) runs the same
+   claim loop on the submitter alone, on a job record it never
+   publishes to [current], and takes the same join and degrade path.
+
+   Supervision (deadlines, injected-crash retries, degradation to
+   sequential) is cooperative: it acts only at chunk boundaries
+   (checked inside the batch loop, so a deadline can expire mid-batch),
+   because a running domain cannot be preempted.  Its policy — fault
+   engine, degrade, warn, deadline — belongs to the job, never to the
+   pool, so jobs with different policies share one pool and no job's
+   outcome changes how the next one runs.  All of it leaves successful
+   results bit-for-bit identical to an unsupervised run — recovery
+   re-executes restartable chunk bodies, never reorders the fan-in.
 
    Telemetry is strictly an observer: probes time and count the
    scheduler's decisions but never influence them, so an instrumented
@@ -34,28 +38,20 @@ module Telemetry = Nanodec_telemetry.Telemetry
 module Fault = Nanodec_fault.Fault
 module E = Nanodec_error
 
-module Cancel = struct
-  type t = bool Atomic.t
-
-  let create () = Atomic.make false
-  let cancel t = Atomic.set t true
-  let is_cancelled t = Atomic.get t
-end
-
-(* Probe handles, created once when a sink is attached so the per-chunk
-   hot path never takes the sink mutex. *)
+(* Probe handles, created once with the pool so the per-chunk hot path
+   never takes the sink mutex. *)
 type tele = {
   sink : Telemetry.sink;
   c_jobs : Telemetry.counter;  (* pool.jobs: jobs fanned out to the queue *)
   c_jobs_seq : Telemetry.counter;
-      (* pool.jobs.sequential: no-worker or single-task inline loop *)
+      (* pool.jobs.sequential: no workers, or a single claim *)
   c_jobs_inline : Telemetry.counter;
       (* pool.jobs.inline_nested: submissions while the pool was busy *)
   c_chunks_submitter : Telemetry.counter;
   c_chunks_worker : Telemetry.counter;  (* chunks stolen by worker domains *)
   c_batches : Telemetry.counter;  (* pool.batches: claims across all jobs *)
   c_retries : Telemetry.counter;  (* pool.retries: injected-crash retries *)
-  c_timeouts : Telemetry.counter;  (* pool.timeouts: deadline/cancel trips *)
+  c_timeouts : Telemetry.counter;  (* pool.timeouts: deadline trips *)
   c_degraded : Telemetry.counter;  (* pool.degraded_jobs *)
   h_queue_wait : Telemetry.histogram;  (* submit -> claim, per batch *)
   h_compute : Telemetry.histogram;  (* batch body wall time *)
@@ -70,23 +66,22 @@ type job = {
   submitted : float;  (* sink-relative submit time; 0 with no telemetry *)
   timeout_s : float option;
   deadline : float option;  (* absolute, Telemetry.monotonic_s base *)
-  cancel : Cancel.t option;
   next : int Atomic.t;  (* claim cursor; grows by [batch] per claim *)
   cancelled : bool Atomic.t;
-      (* stop claiming new batches; set on first failure and on
-         supervision trips — claimed batches still drain *)
+      (* stop claiming new batches; set on first failure and on the
+         deadline trip — claimed batches still drain *)
   abandon : bool Atomic.t;
       (* additionally skip the remaining bodies of already-claimed
-         batches; set only by supervision trips (deadline/token), never
-         by organic failures, so lowest-index-failure-wins still sees
-         every claimed chunk run *)
-  mutable tripped : bool;  (* mutex: the one-time supervision trip *)
+         batches; set only by the deadline trip, never by organic
+         failures, so lowest-index-failure-wins still sees every
+         claimed chunk run *)
+  mutable tripped : bool;  (* mutex: the one-time deadline trip *)
   mutable retired : int;  (* mutex: claimed chunk indices accounted for *)
   mutable finished : bool;  (* mutex *)
   mutable error : (int * exn * Printexc.raw_backtrace) option;
       (* failure with the lowest chunk index seen so far; index
-         [max_int] marks deadline/cancellation sentinels so any real
-         chunk failure wins over them *)
+         [max_int] marks the deadline sentinel so any real chunk
+         failure wins over it *)
 }
 
 type t = {
@@ -94,15 +89,11 @@ type t = {
   mutex : Mutex.t;
   work_available : Condition.t;  (* workers wait here for a job *)
   job_done : Condition.t;  (* the submitter waits here for the join *)
-  mutable current : job option;
+  mutable current : job option;  (* the fanned-out job, if any *)
   mutable stop : bool;
   mutable workers : unit Domain.t array;
-  mutable tele : tele option;
+  tele : tele option;
   mutable warned : bool;  (* the one-time stderr degradation warning *)
-  inline_nested : int Atomic.t;
-      (* nested/busy submissions run inline; counted even with no sink *)
-  retries_n : int Atomic.t;
-  degraded_jobs_n : int Atomic.t;
 }
 
 let max_domains = 64
@@ -131,10 +122,6 @@ let default_domains () =
 
 let domains t = t.n_domains
 
-let inline_submissions t = Atomic.get t.inline_nested
-let retries t = Atomic.get t.retries_n
-let degraded_jobs t = Atomic.get t.degraded_jobs_n
-
 let tele_of_sink sink =
   {
     sink;
@@ -152,15 +139,6 @@ let tele_of_sink sink =
     h_job = Telemetry.histogram sink "pool.job_s";
   }
 
-let set_telemetry t sink = t.tele <- Option.map tele_of_sink sink
-
-let telemetry t = Option.map (fun tl -> tl.sink) t.tele
-
-let timeout_error timeout_s =
-  E.Error (E.Timeout { site; seconds = Some timeout_s })
-
-let cancel_error = E.Error (E.Timeout { site; seconds = None })
-
 (* Run one chunk body behind the [pool.chunk] fault site, retrying
    injected crashes in place with exponential backoff.  Every attempt
    re-probes the site (same key, next attempt number), so the engine's
@@ -175,7 +153,6 @@ let run_chunk_guarded t ~fault body i =
     with
     | () -> None
     | exception Fault.Injected _ when k < max_retries ->
-      Atomic.incr t.retries_n;
       (match t.tele with Some tl -> Telemetry.incr tl.c_retries | None -> ());
       Unix.sleepf (0.001 *. float_of_int (1 lsl k));
       attempt (k + 1)
@@ -195,41 +172,38 @@ let degrade_job t ~degrade ~warn e =
       "nanodec: warning: injected faults exhausted a job's retries; \
        finishing it sequentially\n%!"
   end;
-  Atomic.incr t.degraded_jobs_n;
   match t.tele with Some tl -> Telemetry.incr tl.c_degraded | None -> ()
 
-let count_timeout t =
-  match t.tele with Some tl -> Telemetry.incr tl.c_timeouts | None -> ()
-
-(* A supervision trip (deadline or token), observed mid-batch by some
-   domain: stop new claims AND the remaining bodies of claimed batches
-   (they would only burn time past the deadline), record the sentinel
-   error.  Taken at most once per job; called without the mutex. *)
-let trip t j error =
+(* A deadline trip, observed mid-batch by some domain: stop new claims
+   AND the remaining bodies of claimed batches (they would only burn
+   time past the deadline), record the sentinel error.  Taken at most
+   once per job; called without the mutex. *)
+let trip t j timeout_s =
   Mutex.lock t.mutex;
   if not j.tripped then begin
     j.tripped <- true;
     Atomic.set j.cancelled true;
     Atomic.set j.abandon true;
-    count_timeout t;
+    (match t.tele with Some tl -> Telemetry.incr tl.c_timeouts | None -> ());
     (match j.error with
     | Some _ -> ()
-    | None -> j.error <- Some (max_int, error, Printexc.get_callstack 0))
+    | None ->
+      j.error <-
+        Some
+          ( max_int,
+            E.Error (E.Timeout { site; seconds = Some timeout_s }),
+            Printexc.get_callstack 0 ))
   end;
   Mutex.unlock t.mutex
 
-(* Observe the cooperative stop conditions at a chunk boundary, without
-   taking the mutex on the happy path. *)
+(* Observe the deadline at a chunk boundary, without taking the mutex
+   on the happy path.  The one place any job checks it. *)
 let check_supervision t j =
-  if not (Atomic.get j.abandon) then begin
-    (match j.cancel with
-    | Some c when Cancel.is_cancelled c -> trip t j cancel_error
-    | Some _ | None -> ());
-    match j.deadline, j.timeout_s with
-    | Some d, Some s when Telemetry.monotonic_s () > d ->
-      trip t j (timeout_error s)
-    | _ -> ()
-  end
+  match j.deadline, j.timeout_s with
+  | Some d, Some s
+    when (not (Atomic.get j.abandon)) && Telemetry.monotonic_s () > d ->
+    trip t j s
+  | _ -> ()
 
 (* Claim and run batches of [j] until the cursor is exhausted or the
    job is cancelled.  Called WITHOUT the mutex; takes it only to retire
@@ -336,9 +310,6 @@ let create ?domains ?telemetry () =
       workers = [||];
       tele = Option.map tele_of_sink telemetry;
       warned = false;
-      inline_nested = Atomic.make 0;
-      retries_n = Atomic.make 0;
-      degraded_jobs_n = Atomic.make 0;
     }
   in
   t.workers <- Array.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
@@ -359,54 +330,52 @@ let with_pool ?domains ?telemetry f =
   let t = create ?domains ?telemetry () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Boundary check of the sequential executor: same cooperative
-   semantics as the fanned-out claim loop, raised directly since there
-   is no join to drain. *)
-let check_boundary t ?deadline ?timeout_s ?cancel () =
-  (match cancel with
-  | Some c when Cancel.is_cancelled c ->
-    count_timeout t;
-    raise cancel_error
-  | Some _ | None -> ());
-  match deadline, timeout_s with
-  | Some d, Some s when Telemetry.monotonic_s () > d ->
-    count_timeout t;
-    raise (timeout_error s)
-  | _ -> ()
+let job ~chunks ~batch ~fault ~submitted ~timeout_s ~deadline body =
+  {
+    chunks;
+    batch;
+    body;
+    fault;
+    submitted;
+    timeout_s;
+    deadline;
+    next = Atomic.make 0;
+    cancelled = Atomic.make false;
+    abandon = Atomic.make false;
+    tripped = false;
+    retired = 0;
+    finished = false;
+    error = None;
+  }
 
-(* The end of a degraded job: chunks [from ..] in order with injection
-   suppressed.  Chunk bodies are restartable, so the re-execution
-   reproduces the uninjected results exactly. *)
-let finish_suppressed ~check ~from ~chunks body =
-  Fault.without_faults (fun () ->
-      for i = from to chunks - 1 do
-        check ();
-        body i
-      done)
+(* The submitter's side of every job, fanned out or not: claim batches
+   alongside whatever workers see [j], wait until every claimed batch
+   has retired, and return the failure the job recorded.  A job nobody
+   else sees is finished when the submitter's own claim loop ends. *)
+let join t ~published j =
+  work_on t ~on_worker:false j;
+  Mutex.lock t.mutex;
+  while not j.finished do
+    Condition.wait t.job_done t.mutex
+  done;
+  if published then t.current <- None;
+  Mutex.unlock t.mutex;
+  j.error
 
-(* The sequential executor: used for 1-domain pools, single-claim and
-   nested/busy submissions, and pool-less jobs ({!sequential_for}).
-   Retries injected crashes like the parallel path; once a chunk runs
-   out of retries the job degrades from that chunk on, or fails. *)
-let run_inline ?timeout_s ?cancel ?fault ~degrade ~warn t ~chunks body =
-  let deadline =
-    Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s
+(* The end of a degraded job: the whole job again on the submitter
+   alone, injection suppressed, under the original deadline.  Chunk
+   bodies are restartable, so the re-execution reproduces the
+   uninjected results exactly. *)
+let finish_suppressed t j =
+  let rerun =
+    job ~chunks:j.chunks ~batch:j.batch ~fault:None ~submitted:j.submitted
+      ~timeout_s:j.timeout_s ~deadline:j.deadline j.body
   in
-  let check = check_boundary t ?deadline ?timeout_s ?cancel in
-  let rec from i =
-    if i < chunks then begin
-      check ();
-      match run_chunk_guarded t ~fault body i with
-      | None -> from (i + 1)
-      | Some ((Fault.Injected _ as e), _) ->
-        degrade_job t ~degrade ~warn e;
-        finish_suppressed ~check ~from:i ~chunks body
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    end
-  in
-  from 0
+  match Fault.without_faults (fun () -> join t ~published:false rerun) with
+  | None -> ()
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
 
-let parallel_for ?timeout_s ?cancel ?fault ?(degrade = true) ?(warn = true)
+let parallel_for ?timeout_s ?fault ?(degrade = true) ?(warn = true)
     ?(batch = 1) t ~chunks body =
   if chunks < 0 then invalid_arg "Pool.parallel_for: negative chunk count";
   if batch < 1 then invalid_arg "Pool.parallel_for: batch must be >= 1";
@@ -415,109 +384,78 @@ let parallel_for ?timeout_s ?cancel ?fault ?(degrade = true) ?(warn = true)
     invalid_arg "Pool.parallel_for: timeout_s must be positive"
   | Some _ | None -> ());
   if chunks > 0 then begin
-    (* ceil(chunks / batch) claims: a single claim means a single
-       domain would do all the work anyway — run it inline and skip
-       the fan-out machinery. *)
-    let tasks = (chunks + batch - 1) / batch in
-    let inline () =
-      run_inline ?timeout_s ?cancel ?fault ~degrade ~warn t ~chunks body
+    let tele = t.tele in
+    let submitted =
+      match tele with Some tl -> Telemetry.now tl.sink | None -> 0.
     in
-    if Array.length t.workers = 0 || tasks = 1 then
-      if t.stop then invalid_arg "Pool: used after shutdown"
-      else begin
-        (match t.tele with Some tl -> Telemetry.incr tl.c_jobs_seq | None -> ());
-        inline ()
-      end
-    else begin
-      Mutex.lock t.mutex;
-      if t.stop then begin
-        Mutex.unlock t.mutex;
-        invalid_arg "Pool: used after shutdown"
-      end
-      else if t.current <> None then begin
-        (* Busy: a chunk body (or another domain) submitted a job.
-           Run it inline — identical results, no deadlock. *)
-        Mutex.unlock t.mutex;
-        Atomic.incr t.inline_nested;
-        match t.tele with
-        | Some tl ->
-          Telemetry.incr tl.c_jobs_inline;
-          Telemetry.with_span (Some tl.sink) "pool.inline" inline
-        | None -> inline ()
-      end
-      else begin
-        let tele = t.tele in
-        (match tele with Some tl -> Telemetry.incr tl.c_jobs | None -> ());
-        let submitted =
-          match tele with Some tl -> Telemetry.now tl.sink | None -> 0.
-        in
-        let j =
-          {
-            chunks;
-            batch;
-            body;
-            fault;
-            submitted;
-            timeout_s;
-            deadline =
-              Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s;
-            cancel;
-            next = Atomic.make 0;
-            cancelled = Atomic.make false;
-            abandon = Atomic.make false;
-            tripped = false;
-            retired = 0;
-            finished = false;
-            error = None;
-          }
-        in
-        t.current <- Some j;
-        Condition.broadcast t.work_available;
-        Mutex.unlock t.mutex;
-        work_on t ~on_worker:false j;
-        Mutex.lock t.mutex;
-        while not j.finished do
-          Condition.wait t.job_done t.mutex
-        done;
-        t.current <- None;
-        Mutex.unlock t.mutex;
-        (match tele with
-        | Some tl ->
-          Telemetry.observe tl.h_job (Telemetry.now tl.sink -. submitted)
-        | None -> ());
-        match j.error with
-        | None -> ()
-        | Some (_, (Fault.Injected _ as e), _) ->
-          (* Only this job degrades: it re-runs sequentially under its
-             own deadline; the next job fans out on the full pool. *)
-          degrade_job t ~degrade ~warn e;
-          finish_suppressed
-            ~check:(check_boundary t ?deadline:j.deadline ?timeout_s ?cancel)
-            ~from:0 ~chunks body
-        | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-      end
-    end
+    let j =
+      job ~chunks ~batch ~fault ~submitted ~timeout_s
+        ~deadline:(Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s)
+        body
+    in
+    (* ceil(chunks / batch) claims: a single claim means a single
+       domain would do all the work anyway. *)
+    let sequential =
+      Array.length t.workers = 0 || (chunks + batch - 1) / batch = 1
+    in
+    Mutex.lock t.mutex;
+    if t.stop then begin
+      Mutex.unlock t.mutex;
+      invalid_arg "Pool: used after shutdown"
+    end;
+    (* Busy: a chunk body (or another domain) submitted this job while
+       another one is fanned out.  The submitter runs it alone —
+       identical results, no deadlock. *)
+    let nested = (not sequential) && t.current <> None in
+    let published = not (sequential || nested) in
+    if published then begin
+      t.current <- Some j;
+      Condition.broadcast t.work_available
+    end;
+    Mutex.unlock t.mutex;
+    (match tele with
+    | Some tl ->
+      Telemetry.incr
+        (if published then tl.c_jobs
+         else if nested then tl.c_jobs_inline
+         else tl.c_jobs_seq)
+    | None -> ());
+    let run () =
+      let error = join t ~published j in
+      (match tele with
+      | Some tl when published ->
+        Telemetry.observe tl.h_job (Telemetry.now tl.sink -. submitted)
+      | Some _ | None -> ());
+      match error with
+      | None -> ()
+      | Some (_, (Fault.Injected _ as e), _) ->
+        (* Only this job degrades; the next job fans out on the full
+           pool again. *)
+        degrade_job t ~degrade ~warn e;
+        finish_suppressed t j
+      | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+    in
+    match tele with
+    | Some tl when nested -> Telemetry.with_span (Some tl.sink) "pool.inline" run
+    | Some _ | None -> run ()
   end
 
 (* Pool-less jobs run on a worker-less pool shared by the process: the
-   same sequential executor, with nothing to spawn or join. *)
+   same executor, with nothing to spawn or join. *)
 let detached = create ~domains:1 ()
 
-let sequential_for ?timeout_s ?cancel ?fault ?degrade ?warn ~chunks body =
-  parallel_for ?timeout_s ?cancel ?fault ?degrade ?warn detached ~chunks body
+let sequential_for ?timeout_s ?fault ?degrade ?warn ~chunks body =
+  parallel_for ?timeout_s ?fault ?degrade ?warn detached ~chunks body
 
-let map ?timeout_s ?cancel ?batch t f xs =
+let map ?timeout_s ?batch t f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    parallel_for ?timeout_s ?cancel ?batch t ~chunks:n (fun i ->
+    parallel_for ?timeout_s ?batch t ~chunks:n (fun i ->
         out.(i) <- Some (f xs.(i)));
     Array.map (function Some y -> y | None -> assert false) out
   end
 
-let map_list ?timeout_s ?cancel ?batch t f xs =
-  Array.to_list (map ?timeout_s ?cancel ?batch t f (Array.of_list xs))
-
-let map_reduce ?timeout_s ?cancel ?batch t ~map:f ~reduce ~init xs =
-  Array.fold_left reduce init (map ?timeout_s ?cancel ?batch t f xs)
+let map_list ?timeout_s ?batch t f xs =
+  Array.to_list (map ?timeout_s ?batch t f (Array.of_list xs))

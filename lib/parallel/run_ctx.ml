@@ -18,7 +18,6 @@ type t = {
   degrade : bool;
   warn : bool;
   timeout_s : float option;
-  cancel : Pool.Cancel.t option;
   chunking : chunking;
   mc_method : mc_method;
   rel_error : float option;
@@ -40,9 +39,16 @@ let parse_mc_method ?what s =
   | `Stratified k -> Stratified k
   | `Importance f -> Importance f
 
-(* Shared by [make] and [with_request], so both surfaces reject the
-   Monte-Carlo knobs with identical messages. *)
-let check_mc_knobs ~who ~mc_method ~rel_error =
+(* The one validator [make] and [with_request] share, so both surfaces
+   reject a knob with the same message (prefixed by [who]). *)
+let check ~who ~mc_samples ~timeout_s ~chunking ~mc_method ~rel_error =
+  if mc_samples < 0 then invalid_arg (who ^ ": mc_samples must be >= 0");
+  (match timeout_s with
+  | Some s when s <= 0. -> invalid_arg (who ^ ": timeout_s must be positive")
+  | Some _ | None -> ());
+  (match chunking with
+  | Fixed n when n < 1 -> invalid_arg (who ^ ": Fixed chunking must be >= 1")
+  | Fixed _ | Auto -> ());
   (match mc_method with
   | Stratified k when k < 2 ->
     invalid_arg (who ^ ": Stratified strata must be >= 2")
@@ -54,20 +60,11 @@ let check_mc_knobs ~who ~mc_method ~rel_error =
     invalid_arg (who ^ ": rel_error must be in (0, 0.5]")
   | Some _ | None -> ()
 
-let make ?domains ?pool ?(seed = default_seed)
-    ?(mc_samples = default_mc_samples) ?telemetry ?fault ?timeout_s ?cancel
-    ?(chunking = Auto) ?(mc_method = Plain) ?rel_error
-    ?(degrade = true) ?(warn = true) () =
-  if mc_samples < 0 then invalid_arg "Run_ctx.make: mc_samples must be >= 0";
-  (match timeout_s with
-  | Some s when s <= 0. ->
-    invalid_arg "Run_ctx.make: timeout_s must be positive"
-  | Some _ | None -> ());
-  (match chunking with
-  | Fixed n when n < 1 ->
-    invalid_arg "Run_ctx.make: Fixed chunking must be >= 1"
-  | Fixed _ | Auto -> ());
-  check_mc_knobs ~who:"Run_ctx.make" ~mc_method ~rel_error;
+let make ?domains ?(seed = default_seed) ?(mc_samples = default_mc_samples)
+    ?telemetry ?fault ?timeout_s ?(chunking = Auto) ?(mc_method = Plain)
+    ?rel_error ?(degrade = true) ?(warn = true) () =
+  check ~who:"Run_ctx.make" ~mc_samples ~timeout_s ~chunking ~mc_method
+    ~rel_error;
   (* The environment plan activates here and only here: contexts are the
      chaos boundary.  Direct [Pool] users (tests, benches) stay
      injection-free even when [NANODEC_FAULT_PLAN] is exported. *)
@@ -77,22 +74,8 @@ let make ?domains ?pool ?(seed = default_seed)
   (match fault, telemetry with
   | Some f, Some _ -> Fault.set_telemetry f telemetry
   | _ -> ());
-  let pool, owns_pool =
-    match pool, domains with
-    | Some _, Some _ ->
-      invalid_arg "Run_ctx.make: ~domains and ~pool are mutually exclusive"
-    | Some p, None ->
-      (* Borrowed pool: route its scheduler probes into this context's
-         sink (the caller keeps ownership and shutdown duty). *)
-      (match telemetry with
-      | Some _ -> Pool.set_telemetry p telemetry
-      | None -> ());
-      (Some p, false)
-    | None, Some d -> (Some (Pool.create ~domains:d ?telemetry ()), true)
-    | None, None -> (None, false)
-  in
   {
-    pool;
+    pool = Option.map (fun domains -> Pool.create ~domains ?telemetry ()) domains;
     seed;
     mc_samples;
     telemetry;
@@ -100,20 +83,19 @@ let make ?domains ?pool ?(seed = default_seed)
     degrade;
     warn;
     timeout_s;
-    cancel;
     chunking;
     mc_method;
     rel_error;
-    owns_pool;
+    owns_pool = true;
   }
 
 let shutdown t = if t.owns_pool then Option.iter Pool.shutdown t.pool
 
-let with_ctx ?domains ?pool ?seed ?mc_samples ?telemetry ?fault ?timeout_s
-    ?cancel ?chunking ?mc_method ?rel_error ?degrade ?warn f =
+let with_ctx ?domains ?seed ?mc_samples ?telemetry ?fault ?timeout_s
+    ?chunking ?mc_method ?rel_error ?degrade ?warn f =
   let t =
-    make ?domains ?pool ?seed ?mc_samples ?telemetry ?fault ?timeout_s
-      ?cancel ?chunking ?mc_method ?rel_error ?degrade ?warn ()
+    make ?domains ?seed ?mc_samples ?telemetry ?fault ?timeout_s ?chunking
+      ?mc_method ?rel_error ?degrade ?warn ()
   in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
@@ -123,19 +105,16 @@ let mc_samples t = t.mc_samples
 let telemetry t = t.telemetry
 let fault t = t.fault
 let timeout_s t = t.timeout_s
-let cancel t = t.cancel
 let chunking t = t.chunking
 let mc_method t = t.mc_method
 let rel_error t = t.rel_error
 
 let parallel_for ?batch t ~chunks body =
-  let { timeout_s; cancel; fault; degrade; warn; _ } = t in
+  let { timeout_s; fault; degrade; warn; _ } = t in
   match t.pool with
   | Some p ->
-    Pool.parallel_for ?timeout_s ?cancel ?fault ~degrade ~warn ?batch p
-      ~chunks body
-  | None ->
-    Pool.sequential_for ?timeout_s ?cancel ?fault ~degrade ~warn ~chunks body
+    Pool.parallel_for ?timeout_s ?fault ~degrade ~warn ?batch p ~chunks body
+  | None -> Pool.sequential_for ?timeout_s ?fault ~degrade ~warn ~chunks body
 
 let map_list t f xs =
   let xs = Array.of_list xs in
@@ -158,17 +137,8 @@ let with_request ~base ?seed ?mc_samples ?timeout_s ?fault ?chunking
   let timeout_s =
     match timeout_s with Some _ as t -> t | None -> base.timeout_s
   in
-  if mc_samples < 0 then
-    invalid_arg "Run_ctx.with_request: mc_samples must be >= 0";
-  (match timeout_s with
-  | Some s when s <= 0. ->
-    invalid_arg "Run_ctx.with_request: timeout_s must be positive"
-  | Some _ | None -> ());
-  (match chunking with
-  | Fixed n when n < 1 ->
-    invalid_arg "Run_ctx.with_request: Fixed chunking must be >= 1"
-  | Fixed _ | Auto -> ());
-  check_mc_knobs ~who:"Run_ctx.with_request" ~mc_method ~rel_error;
+  check ~who:"Run_ctx.with_request" ~mc_samples ~timeout_s ~chunking
+    ~mc_method ~rel_error;
   (* Every request borrows the base pool: the fault engine and the
      degrade policy travel with each job, so nothing on the shared pool
      changes and any number of requests can derive from one base. *)
@@ -209,7 +179,6 @@ let resolve ?ctx () =
       degrade = true;
       warn = true;
       timeout_s = None;
-      cancel = None;
       chunking = Auto;
       mc_method = Plain;
       rel_error = None;

@@ -3,7 +3,7 @@
     [Run_ctx.t] bundles what used to travel as scattered optional
     arguments — the domain pool, the Monte-Carlo seed and sample count,
     the telemetry sink, and the supervision policy (fault engine,
-    degrade and warn flags, job deadline, cancellation token) — into
+    degrade and warn flags, job deadline) — into
     one value built once (usually from the CLI flags) and threaded
     through sweeps, figures, scaling, ablations and Monte-Carlo
     estimators alike:
@@ -21,9 +21,12 @@
 
     Every job goes through {!parallel_for}: the context hands its
     supervision policy to the pool with each job (never installs it on
-    the pool), and a context without a pool runs the job through the
-    pool's sequential executor, so deadlines, cancellation, retries
-    and the degrade policy act the same with or without a pool.
+    the pool), and a context without a pool runs the job on the
+    submitting domain through the same executor ({!Pool.sequential_for}),
+    so deadlines, retries and the degrade policy act the same with or
+    without a pool.  A context's pool is one it spawned itself
+    ([~domains]); contexts never borrow or reconfigure a pool, except
+    that {!with_request} hands the base context's pool to the request.
 
     {2 Chaos boundary}
 
@@ -89,13 +92,11 @@ val parse_mc_method : ?what:string -> string -> mc_method
 
 val make :
   ?domains:int ->
-  ?pool:Pool.t ->
   ?seed:int ->
   ?mc_samples:int ->
   ?telemetry:Nanodec_telemetry.Telemetry.sink ->
   ?fault:Nanodec_fault.Fault.t ->
   ?timeout_s:float ->
-  ?cancel:Pool.Cancel.t ->
   ?chunking:chunking ->
   ?mc_method:mc_method ->
   ?rel_error:float ->
@@ -104,18 +105,14 @@ val make :
   unit ->
   t
 (** Builder-style constructor.  [~domains] spawns a pool owned by the
-    context ({!shutdown} joins it); [~pool] borrows an existing pool
-    (the caller keeps shutdown duty) — passing both raises
-    [Invalid_argument], passing neither leaves the context sequential.
-    When both a pool and a sink are given, the sink is attached to the
-    pool so scheduler probes land in it.  [fault] defaults to the
+    context ({!shutdown} joins it); without it the context is
+    sequential.  A [telemetry] sink is the pool's sink too, so
+    scheduler probes land in it.  [fault] defaults to the
     [NANODEC_FAULT_PLAN] environment plan when that is set (raising
     [Nanodec_error.Error (Invalid_input _)] on a malformed value).
-    [fault], [timeout_s] (strictly positive), [cancel], [degrade]
-    (default [true]) and [warn] (default [true]) are handed to every
-    job run through this context, owned pool or borrowed (see
-    {!Pool.parallel_for}); the borrowed pool itself is left as it
-    was.
+    [fault], [timeout_s] (strictly positive), [degrade] (default
+    [true]) and [warn] (default [true]) are handed to every job run
+    through this context (see {!Pool.parallel_for}).
     [chunking] (default [Auto]) selects the estimator's scheduling
     policy; [Fixed n] with [n < 1] raises [Invalid_argument].  [mc_method] (default {!Plain}) and
     [rel_error] select the estimators' sampling strategy and, when
@@ -127,13 +124,11 @@ val make :
 
 val with_ctx :
   ?domains:int ->
-  ?pool:Pool.t ->
   ?seed:int ->
   ?mc_samples:int ->
   ?telemetry:Nanodec_telemetry.Telemetry.sink ->
   ?fault:Nanodec_fault.Fault.t ->
   ?timeout_s:float ->
-  ?cancel:Pool.Cancel.t ->
   ?chunking:chunking ->
   ?mc_method:mc_method ->
   ?rel_error:float ->
@@ -152,7 +147,6 @@ val mc_samples : t -> int
 val telemetry : t -> Nanodec_telemetry.Telemetry.sink option
 val fault : t -> Nanodec_fault.Fault.t option
 val timeout_s : t -> float option
-val cancel : t -> Pool.Cancel.t option
 val chunking : t -> chunking
 val mc_method : t -> mc_method
 val rel_error : t -> float option
@@ -160,8 +154,8 @@ val rel_error : t -> float option
 val parallel_for : ?batch:int -> t -> chunks:int -> (int -> unit) -> unit
 (** [parallel_for ctx ~chunks body] is {!Pool.parallel_for} on the
     context's pool, or {!Pool.sequential_for} without one, with the
-    context's fault engine, degrade and warn flags, deadline and
-    cancellation token as the job's supervision policy. *)
+    context's fault engine, degrade and warn flags and deadline as the
+    job's supervision policy. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list ctx f xs] is [List.map f xs] run as one {!parallel_for}
@@ -184,7 +178,7 @@ val with_request :
 (** Per-request context derivation — the serve daemon's workhorse.
     [with_request ~base ?seed ... f] runs [f] under a context that
     overrides the given knobs and inherits everything else (pool,
-    telemetry sink, cancellation) from [base].  [fault], [degrade] and
+    telemetry sink) from [base].  [fault], [degrade] and
     [warn] default to the base context's.  The derived context always
     borrows the base pool and changes nothing on it — the fault engine
     and the degrade policy are per-job arguments — so any number of
@@ -194,9 +188,11 @@ val with_request :
     like {!make} does.
 
     Unlike {!make}, the [NANODEC_FAULT_PLAN] environment boundary is
-    not re-read: the base context already resolved it.  Raises
+    not re-read: the base context already resolved it.  Validates the
+    knobs exactly like {!make} (one shared check), raising
     [Invalid_argument] on a non-positive [timeout_s], negative
-    [mc_samples] or [Fixed n < 1], like {!make}. *)
+    [mc_samples], [Fixed n < 1] or an out-of-range [mc_method] or
+    [rel_error]. *)
 
 val resolve : ?ctx:t -> unit -> t
 (** [resolve ?ctx ()] is [ctx], or a default pool-less context without

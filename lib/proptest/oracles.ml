@@ -371,8 +371,7 @@ let chunked_mc_domain_invariance =
       let chunking = Nanodec_parallel.Run_ctx.Fixed chunks in
       let seq_ctx = Nanodec_parallel.Run_ctx.make ~chunking () in
       let sequential = plain_estimate ~ctx:seq_ctx ~seed ~samples f in
-      Nanodec_parallel.Pool.with_pool ~domains (fun pool ->
-          let ctx = Nanodec_parallel.Run_ctx.make ~pool ~chunking () in
+      Nanodec_parallel.Run_ctx.with_ctx ~domains ~chunking (fun ctx ->
           plain_estimate ~ctx ~seed ~samples f = sequential))
 
 (* --- Telemetry (pure-observer contract) --- *)

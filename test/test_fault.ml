@@ -33,8 +33,8 @@ let estimate ~ctx () =
         (Rng.create ~seed:2009)
         (Montecarlo.target (fun rng -> Rng.gaussian rng +. Rng.float rng)))
 
-let workload ?fault ?timeout_s ?cancel ~domains () =
-  Run_ctx.with_ctx ~domains ?fault ?timeout_s ?cancel (fun ctx ->
+let workload ?fault ?timeout_s ~domains () =
+  Run_ctx.with_ctx ~domains ?fault ?timeout_s (fun ctx ->
       estimate ~ctx ())
 
 let baseline = lazy (workload ~domains:1 ())
@@ -141,24 +141,27 @@ let test_crash_everywhere_degrades () =
      degrade and still produce the baseline bits. *)
   let f = engine "pool.chunk:crash:p=1" in
   let sink = Nanodec_telemetry.Telemetry.create () in
-  let fanned_out () =
-    Nanodec_telemetry.Telemetry.(counter_value (counter sink "pool.jobs"))
+  let counter name =
+    Nanodec_telemetry.Telemetry.(counter_value (counter sink name))
   in
   Run_ctx.with_ctx ~domains:4 ~telemetry:sink ~fault:f (fun ctx ->
       check_equals_baseline "degraded run" (estimate ~ctx ());
       match Run_ctx.pool ctx with
       | None -> Alcotest.fail "expected a pool"
       | Some pool ->
-        Alcotest.(check int) "one degraded job" 1 (Pool.degraded_jobs pool);
-        Alcotest.(check bool) "retries counted" true (Pool.retries pool > 0);
+        Alcotest.(check int) "one degraded job" 1
+          (counter "pool.degraded_jobs");
+        Alcotest.(check bool) "retries counted" true
+          (counter "pool.retries" > 0);
         (* Degradation is the job's, not the pool's: the next job fans
            out on the full pool again. *)
-        let before = fanned_out () in
+        let before = counter "pool.jobs" in
         Pool.parallel_for pool ~chunks:8 ignore;
-        Alcotest.(check int) "next job fans out" (before + 1) (fanned_out ());
+        Alcotest.(check int) "next job fans out" (before + 1)
+          (counter "pool.jobs");
         check_equals_baseline "post-degradation job" (estimate ~ctx ());
         Alcotest.(check int) "that job degrades on its own" 2
-          (Pool.degraded_jobs pool))
+          (counter "pool.degraded_jobs"))
 
 let test_no_degrade_fails_closed () =
   (* [with_ctx ~degrade:false] plumbing, fanned and inline paths. *)
@@ -263,7 +266,7 @@ let test_request_faults_share_the_pool () =
       check_equals_baseline "base pool after 1000 derivations"
         (estimate ~ctx:base ()))
 
-(* --- deadlines and cancellation --- *)
+(* --- deadlines --- *)
 
 let test_timeout_mid_job () =
   List.iter
@@ -288,23 +291,6 @@ let test_stall_plus_timeout () =
   match workload ~fault:f ~timeout_s:0.02 ~domains:4 () with
   | _ -> Alcotest.fail "expected Timeout"
   | exception E.Error (E.Timeout _) -> ()
-
-let test_cancellation () =
-  List.iter
-    (fun domains ->
-      let cancel = Pool.Cancel.create () in
-      Alcotest.(check bool) "fresh token" false
-        (Pool.Cancel.is_cancelled cancel);
-      Pool.with_pool ~domains (fun pool ->
-          (* The first chunk cancels the job; later claim boundaries
-             observe the token. *)
-          match
-            Pool.parallel_for ~cancel pool ~chunks:64 (fun i ->
-                if i = 0 then Pool.Cancel.cancel cancel)
-          with
-          | () -> Alcotest.fail "expected cancellation"
-          | exception E.Error (E.Timeout { seconds = None; _ }) -> ()))
-    [ 1; 4 ]
 
 let test_organic_exceptions_not_retried () =
   (* Real bugs must not be retried or degraded away, even with an
@@ -467,8 +453,6 @@ let suite =
       test_timeout_mid_job;
     Alcotest.test_case "injected stall trips the deadline" `Quick
       test_stall_plus_timeout;
-    Alcotest.test_case "cancellation tokens stop the job" `Quick
-      test_cancellation;
     Alcotest.test_case "organic exceptions are never retried" `Quick
       test_organic_exceptions_not_retried;
     Alcotest.test_case "exit codes are documented and distinct" `Quick

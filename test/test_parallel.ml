@@ -50,8 +50,7 @@ let check_estimate_invariance ~samples ~chunks () =
       in
       List.iter
         (fun domains ->
-          Pool.with_pool ~domains (fun pool ->
-              let ctx = Run_ctx.make ~pool ~chunking () in
+          Run_ctx.with_ctx ~domains ~chunking (fun ctx ->
               Alcotest.check estimate
                 (Printf.sprintf "estimate seed=%d domains=%d" seed domains)
                 baseline
@@ -94,8 +93,7 @@ let test_mc_yield_window_invariance () =
   in
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let ctx = Run_ctx.make ~pool () in
+      Run_ctx.with_ctx ~domains (fun ctx ->
           let e =
             Nanodec_crossbar.Cave.mc_yield_window_par ~ctx
               (Rng.create ~seed:2009) ~samples analysis
@@ -122,8 +120,7 @@ let test_sweep_invariance () =
   Alcotest.(check int) "baseline size" 5 (List.length baseline);
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let ctx = Run_ctx.make ~pool () in
+      Run_ctx.with_ctx ~domains (fun ctx ->
           let reports =
             Nanodec.Optimizer.sweep ~ctx ~candidates:small_candidates ()
           in
@@ -138,8 +135,7 @@ let test_figures_invariance () =
   let fig8 = Nanodec.Figures.fig8 () in
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let ctx = Run_ctx.make ~pool () in
+      Run_ctx.with_ctx ~domains (fun ctx ->
           Alcotest.(check bool)
             (Printf.sprintf "fig7 identical, domains=%d" domains)
             true
@@ -153,8 +149,7 @@ let test_figures_invariance () =
 let test_scaling_ablation_invariance () =
   let nodes = Nanodec.Scaling.sweep_nodes () in
   let ablation = Nanodec.Ablation.sigma_t () in
-  Pool.with_pool ~domains:4 (fun pool ->
-      let ctx = Run_ctx.make ~pool () in
+  Run_ctx.with_ctx ~domains:4 (fun ctx ->
       Alcotest.(check bool)
         "scaling nodes identical" true
         (Nanodec.Scaling.sweep_nodes ~ctx () = nodes);
@@ -207,10 +202,13 @@ let test_nested_submission_inline () =
      attached (the probes run inside the scheduler's lock-sensitive
      paths, so this doubles as a no-deadlock regression test) and with
      every inline submission showing up in the counter. *)
-  let sink = Nanodec_telemetry.Telemetry.create () in
+  let module Telemetry = Nanodec_telemetry.Telemetry in
+  let sink = Telemetry.create () in
+  let inline_nested () =
+    Telemetry.counter_value (Telemetry.counter sink "pool.jobs.inline_nested")
+  in
   Pool.with_pool ~domains:2 ~telemetry:sink (fun pool ->
-      Alcotest.(check int) "no inline submissions yet" 0
-        (Pool.inline_submissions pool);
+      Alcotest.(check int) "no inline submissions yet" 0 (inline_nested ());
       let outer =
         Pool.map pool
           (fun i ->
@@ -222,10 +220,9 @@ let test_nested_submission_inline () =
       Alcotest.(check (array int)) "nested jobs" expected outer;
       (* Every one of the 8 inner jobs was submitted while the outer job
          held the pool busy. *)
-      Alcotest.(check int) "inline submissions counted" 8
-        (Pool.inline_submissions pool));
+      Alcotest.(check int) "inline submissions counted" 8 (inline_nested ()));
   Alcotest.(check bool) "span trees well-formed under nesting" true
-    (Nanodec_telemetry.Telemetry.well_formed sink)
+    (Telemetry.well_formed sink)
 
 let test_many_successive_jobs () =
   Pool.with_pool ~domains:4 (fun pool ->
@@ -237,22 +234,6 @@ let test_many_successive_jobs () =
           (Array.map (fun x -> x * x) xs)
           got
       done)
-
-let test_map_reduce_order () =
-  (* String concatenation is non-commutative: any out-of-order reduction
-     changes the answer. *)
-  let xs = Array.init 26 (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
-  let expected = String.concat "" (Array.to_list xs) in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let got =
-            Pool.map_reduce pool ~map:Fun.id ~reduce:( ^ ) ~init:"" xs
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "in-order reduce, domains=%d" domains)
-            expected got))
-    domain_counts
 
 let test_timeout_mid_batch () =
   (* The deadline check runs inside the batch loop, so a deadline that
@@ -312,8 +293,6 @@ let suite =
     Alcotest.test_case "nested submission runs inline" `Quick
       test_nested_submission_inline;
     Alcotest.test_case "many successive jobs" `Quick test_many_successive_jobs;
-    Alcotest.test_case "map_reduce folds in index order" `Quick
-      test_map_reduce_order;
     Alcotest.test_case "deadline expiring mid-batch times out cleanly" `Quick
       test_timeout_mid_batch;
     Alcotest.test_case "shutdown is idempotent and final" `Quick test_shutdown;

@@ -55,15 +55,14 @@ let test_adversarial_chunking () =
   in
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          List.iteri
-            (fun i chunking ->
-              let ctx = Run_ctx.make ~pool ~chunking () in
+      List.iteri
+        (fun i chunking ->
+          Run_ctx.with_ctx ~domains ~chunking (fun ctx ->
               Alcotest.check estimate
                 (Printf.sprintf "domains=%d chunking #%d" domains i)
                 baseline
-                (estimate_on ~ctx ~seed:2009 ~samples ()))
-            chunkings))
+                (estimate_on ~ctx ~seed:2009 ~samples ())))
+        chunkings)
     [ 1; 4 ]
 
 (* --- determinism under active fault plans, every domain count --- *)
@@ -150,8 +149,7 @@ let test_auto_plans () =
   in
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let ctx = Run_ctx.make ~pool () in
+      Run_ctx.with_ctx ~domains (fun ctx ->
           List.iter
             (fun (samples, expected) ->
               Alcotest.check estimate

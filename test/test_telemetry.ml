@@ -222,30 +222,24 @@ let test_run_ctx_builder () =
     (Invalid_argument "Pool: used after shutdown") (fun () ->
       ignore (Pool.map escaped Fun.id [| 1 |]))
 
-(* Physical identity through an option (a fresh [Some] defeats [==]). *)
-let is_same x = function Some y -> x == y | None -> false
-
-let test_run_ctx_borrowed_pool () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let sink = Telemetry.create () in
-      Run_ctx.with_ctx ~pool ~telemetry:sink (fun ctx ->
-          Alcotest.(check bool) "same pool" true
-            (is_same pool (Run_ctx.pool ctx));
-          Alcotest.(check bool) "sink attached to borrowed pool" true
-            (is_same sink (Pool.telemetry pool)));
-      (* Borrowed pools survive the context. *)
-      Alcotest.(check (array int)) "pool still usable" [| 1; 4; 9 |]
-        (Pool.map pool (fun x -> x * x) [| 1; 2; 3 |]))
-
 let test_run_ctx_validation () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.check_raises "domains and pool are exclusive"
-        (Invalid_argument
-           "Run_ctx.make: ~domains and ~pool are mutually exclusive")
-        (fun () -> ignore (Run_ctx.make ~domains:2 ~pool ())));
   Alcotest.check_raises "negative mc_samples"
     (Invalid_argument "Run_ctx.make: mc_samples must be >= 0") (fun () ->
-      ignore (Run_ctx.make ~mc_samples:(-1) ()))
+      ignore (Run_ctx.make ~mc_samples:(-1) ()));
+  (* [with_request] runs the same check, under its own name. *)
+  let base = Run_ctx.resolve () in
+  let derive = Run_ctx.with_request ~base in
+  List.iter
+    (fun (msg, run) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Run_ctx.with_request: " ^ msg)) run)
+    [
+      ("mc_samples must be >= 0", fun () -> derive ~mc_samples:(-1) ignore);
+      ("timeout_s must be positive", fun () -> derive ~timeout_s:0. ignore);
+      ( "Fixed chunking must be >= 1",
+        fun () -> derive ~chunking:(Run_ctx.Fixed 0) ignore );
+      ("rel_error must be in (0, 0.5]", fun () -> derive ~rel_error:0.6 ignore);
+    ]
 
 let test_run_ctx_resolve () =
   (* A given ctx wins: it comes back unchanged. *)
@@ -274,8 +268,6 @@ let suite =
       test_json_export_empty;
     Alcotest.test_case "Run_ctx builder and ownership" `Quick
       test_run_ctx_builder;
-    Alcotest.test_case "Run_ctx borrows without owning" `Quick
-      test_run_ctx_borrowed_pool;
     Alcotest.test_case "Run_ctx validates arguments" `Quick
       test_run_ctx_validation;
     Alcotest.test_case "Run_ctx.resolve precedence" `Quick
