@@ -30,7 +30,7 @@ val sweep :
 (** Generic one-parameter ablation on the paper's platform (span
     [ablation.<parameter>]).  The swept values evaluate across the
     context's pool with identical results for every domain count.  The
-    pool rides inside [?ctx] ([Run_ctx.make ~pool ()]). *)
+    pool rides inside [?ctx] ([Run_ctx.with_ctx ~domains]). *)
 
 val sigma_t :
   ?ctx:Nanodec_parallel.Run_ctx.t ->

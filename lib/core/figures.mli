@@ -58,7 +58,7 @@ val fig7 :
 (** TC/BGC at M ∈ 6,8,10 and HC/AHC at M ∈ 4,6,8, on the paper platform.
     The context's pool fans the points out across its domains (span
     [figures.fig7]); the result is identical for every domain count.
-    The pool rides inside [?ctx] ([Run_ctx.make ~pool ()]). *)
+    The pool rides inside [?ctx] ([Run_ctx.with_ctx ~domains]). *)
 
 (** {1 Fig. 8 — bit area vs code type and length} *)
 

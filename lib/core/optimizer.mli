@@ -35,7 +35,7 @@ val sweep :
     [optimizer.evaluate], counter [optimizer.candidates]); candidates
     evaluate across the pool's domains and the report list (order
     included) is identical for every domain count.  The pool rides
-    inside [?ctx] ([Run_ctx.make ~pool ()]). *)
+    inside [?ctx] ([Run_ctx.with_ctx ~domains]). *)
 
 val best :
   ?ctx:Nanodec_parallel.Run_ctx.t ->

@@ -36,10 +36,10 @@ val sweep_nodes :
 (** Minimum-bit-area design per node (span [scaling.nodes]).  Nodes
     evaluate across the context's pool; the inner per-node sweep also
     receives the context, so while the grid is fanned out it runs
-    inline on the submitting domain (counted by
-    {!Nanodec_parallel.Pool.inline_submissions}).  Results are
+    inline on the submitting domain (counted as
+    [pool.jobs.inline_nested] when the context has a sink).  Results are
     identical for every domain count.  The pool rides inside [?ctx]
-    ([Run_ctx.make ~pool ()]). *)
+    ([Run_ctx.with_ctx ~domains]). *)
 
 val sweep_memory_sizes :
   ?ctx:Nanodec_parallel.Run_ctx.t ->

@@ -108,7 +108,7 @@ val mc_yield_window_par :
     output).  [?kernel] supplies a pre-compiled {!kernel_of_analysis}
     of the same analysis (the serve artifact cache holds one), skipping
     the per-call compile; the estimate is identical either way.  The
-    pool rides inside [?ctx] ([Run_ctx.make ~pool ()]). *)
+    pool rides inside [?ctx] ([Run_ctx.with_ctx ~domains]). *)
 
 val mc_yield_window_reference :
   ?ctx:Nanodec_parallel.Run_ctx.t ->

@@ -9,9 +9,9 @@
     {- {!Invalid_input} (exit {!exit_invalid_input}) — a malformed or
        out-of-range argument, environment variable or derived
        configuration.  The run never started; fix the input.}
-    {- {!Timeout} (exit {!exit_timeout}) — a job exceeded its deadline
-       or was cooperatively cancelled.  [seconds = None] means
-       cancellation rather than deadline expiry.}
+    {- {!Timeout} (exit {!exit_timeout}) — a job or a client call
+       exceeded its deadline of [seconds].  [seconds = None] renders as
+       a cancellation; nothing in this library raises it.}
     {- {!Worker_crash} (exit {!exit_worker_crash}) — a chunk of parallel
        work died and the supervisor could not (or was not allowed to)
        recover it.  [injected] distinguishes faults planted by the

@@ -232,9 +232,10 @@ let escape_into b s =
   Buffer.add_char b '"'
 
 let float_to_string f =
-  (* Shortest decimal that round-trips; %.17g as the exact fallback.
-     Non-finite floats cannot be parsed back, so they render as null —
-     the protocol layer never emits them. *)
+  (* %.15g when it reads back as [f], %.17g (always exact) otherwise;
+     integral values print without a decimal point, so they parse back
+     as [Int].  Non-finite floats cannot be parsed back, so they render
+     as null — the protocol layer never emits them. *)
   if Float.is_nan f || f = infinity || f = neg_infinity then "null"
   else
     let s = Printf.sprintf "%.15g" f in

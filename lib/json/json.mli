@@ -35,9 +35,17 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Canonical single-line rendering: no spaces after separators,
     strings escaped per RFC 8259 (control characters as [\u00XX]),
-    floats as the shortest representation that round-trips ([%.17g]
-    fallback), object fields in the order given.  Never contains a
-    newline, so a rendered value is always one protocol line. *)
+    object fields in the order given.  Never contains a newline, so a
+    rendered value is always one protocol line.
+
+    A finite float renders as [%.15g] when that reads back as the same
+    float, else as [%.17g], so its value always survives {!parse} — but
+    not always its constructor: an integral float prints with no
+    decimal point or exponent, so [Float 2.] renders as [2] and parses
+    back as [Int 2] ([Float 0.5] and [Float 1e20], rendered [0.5] and
+    [1e+20], stay [Float]).  Readers of a float field should therefore
+    use {!to_float_opt}, which accepts both.  Non-finite floats render
+    as [null]. *)
 
 (** {1 Accessors} — total, [option]-returning *)
 
@@ -48,6 +56,9 @@ val to_int_opt : t -> int option
 (** [Int n] and integral [Float]s within [int] range. *)
 
 val to_float_opt : t -> float option
+(** [Float f] and [Int n] (as [float_of_int n]) — the reader for float
+    fields, whose integral values render as integers. *)
+
 val to_string_opt : t -> string option
 val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option

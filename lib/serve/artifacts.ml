@@ -8,10 +8,7 @@ type value =
   | Nu of Imatrix.t
   | Analysis of Cave.analysis
   | Kernel of Kernel.t
-  | Report of string
-  | Estimate of string
-  | Sweep of string
-  | Words of string
+  | Fragment of string
 
 type t = value Artifact_cache.t
 
@@ -96,27 +93,30 @@ let unwrap_error ~key ~wanted =
        (Printf.sprintf "artifact cache kind mismatch for %s (wanted %s)" key
           wanted))
 
+(* A response fragment under [key]: rendered by [render] on a miss,
+   spliced from the cache on a hit. *)
+let fragment cache ~key render =
+  match
+    Artifact_cache.find_or_build cache ~key (fun () -> Fragment (render ()))
+  with
+  | Fragment s, hit -> (s, hit)
+  | _ -> unwrap_error ~key ~wanted:"fragment"
+
 let words cache ~radix ~length ~count ct =
   let key =
     Printf.sprintf "words|%s|k=%d" (Codebook.cache_key ~radix ~length ct) count
   in
-  match
-    Artifact_cache.find_or_build cache ~key (fun () ->
-        let words = Codebook.sequence ~radix ~length ~count ct in
-        Words
-          (Json.to_string
-             (Json.Obj
-                [
-                  ("code", Json.String (Codebook.name ct));
-                  ("omega", Json.Int (Codebook.space_size ~radix ~length ct));
-                  ( "words",
-                    Json.List
-                      (List.map (fun w -> Json.String (Word.to_string w)) words)
-                  );
-                ])))
-  with
-  | Words s, hit -> (s, hit)
-  | _ -> unwrap_error ~key ~wanted:"words"
+  fragment cache ~key (fun () ->
+      let words = Codebook.sequence ~radix ~length ~count ct in
+      Json.to_string
+        (Json.Obj
+           [
+             ("code", Json.String (Codebook.name ct));
+             ("omega", Json.Int (Codebook.space_size ~radix ~length ct));
+             ( "words",
+               Json.List
+                 (List.map (fun w -> Json.String (Word.to_string w)) words) );
+           ]))
 
 let nu cache pattern =
   let key = "nu|" ^ Nanodec_mspt.Pattern.cache_key pattern in
@@ -157,12 +157,8 @@ let report cache spec =
     Printf.sprintf "report|raw=%d|%s" spec.Design.raw_bits
       (Cave.config_key spec.Design.cave)
   in
-  match
-    Artifact_cache.find_or_build cache ~key (fun () ->
-        Report (Json.to_string (report_json (Design.evaluate spec))))
-  with
-  | Report s, hit -> (s, hit)
-  | _ -> unwrap_error ~key ~wanted:"report"
+  fragment cache ~key (fun () ->
+      Json.to_string (report_json (Design.evaluate spec)))
 
 let estimate_key ~seed ~samples config =
   Printf.sprintf "estimate|seed=%d|samples=%d|%s" seed samples
@@ -198,12 +194,8 @@ let estimate cache ~ctx ~seed ~samples ?spec config =
     | None -> estimate_key ~seed ~samples config
     | Some spec -> estimate_spec_key ~seed ~spec config
   in
-  match
-    Artifact_cache.find_or_build cache ~key (fun () ->
-        Estimate (build_estimate cache ~ctx ~seed ~samples ?spec config))
-  with
-  | Estimate s, hit -> (s, hit)
-  | _ -> unwrap_error ~key ~wanted:"estimate"
+  fragment cache ~key (fun () ->
+      build_estimate cache ~ctx ~seed ~samples ?spec config)
 
 let estimate_spec cache ~ctx ~seed ~spec config =
   let samples =
@@ -218,43 +210,31 @@ let sweep cache spec =
     Printf.sprintf "sweep|raw=%d|%s" spec.Design.raw_bits
       (Cave.config_key spec.Design.cave)
   in
-  match
-    Artifact_cache.find_or_build cache ~key (fun () ->
-        Sweep
-          (Json.to_string
-             (Json.Obj
-                [
-                  ( "rows",
-                    Json.List
-                      (List.map sweep_row_json (Optimizer.sweep ~spec ())) );
-                ])))
-  with
-  | Sweep s, hit -> (s, hit)
-  | _ -> unwrap_error ~key ~wanted:"sweep"
+  fragment cache ~key (fun () ->
+      Json.to_string
+        (Json.Obj
+           [
+             ( "rows",
+               Json.List (List.map sweep_row_json (Optimizer.sweep ~spec ()))
+             );
+           ]))
 
 (* --- snapshots --- *)
 
-let fragment = function
-  | Report s | Estimate s | Sweep s | Words s -> Some s
-  | Nu _ | Analysis _ | Kernel _ -> None
-
 let snapshot cache =
   List.filter_map
-    (fun (key, cost_s, value) ->
-      Option.map (fun s -> (key, cost_s, s)) (fragment value))
+    (function
+      | key, cost_s, Fragment s -> Some (key, cost_s, s)
+      | _, _, (Nu _ | Analysis _ | Kernel _) -> None)
     (Artifact_cache.dump cache)
 
-(* The kind a fragment key names, by the prefix its accessor gives it. *)
-let fragment_of_key key bytes =
+(* Whether [key] carries one of the prefixes the fragment accessors
+   give their keys. *)
+let fragment_key key =
   match String.index_opt key '|' with
-  | None -> None
-  | Some i -> (
-    match String.sub key 0 i with
-    | "report" -> Some (Report bytes)
-    | "estimate" -> Some (Estimate bytes)
-    | "sweep" -> Some (Sweep bytes)
-    | "words" -> Some (Words bytes)
-    | _ -> None)
+  | None -> false
+  | Some i ->
+    List.mem (String.sub key 0 i) [ "report"; "estimate"; "sweep"; "words" ]
 
 (* A restored fragment is spliced into responses verbatim, so it must
    be exactly what a builder renders: one canonical JSON object. *)
@@ -267,10 +247,10 @@ let restore cache entries =
   let rec check acc = function
     | [] -> Ok (List.rev acc)
     | (key, cost_s, bytes) :: rest -> (
-      match fragment_of_key key bytes with
-      | None -> Error (Printf.sprintf "not a fragment key: %S" key)
-      | Some _ when not (canonical_object bytes) ->
+      if not (fragment_key key) then
+        Error (Printf.sprintf "not a fragment key: %S" key)
+      else if not (canonical_object bytes) then
         Error (Printf.sprintf "not a canonical JSON object: %S" key)
-      | Some value -> check ((key, cost_s, value) :: acc) rest)
+      else check ((key, cost_s, Fragment bytes) :: acc) rest)
   in
   Result.map (Artifact_cache.restore cache) (check [] entries)

@@ -23,11 +23,11 @@ open Nanodec
 (** The artifact kinds the daemon amortizes.
 
     Two sorts.  The intermediate kinds ([Nu], [Analysis], [Kernel])
-    are typed values that other builders consume.  The final kinds
-    ([Report], [Estimate], [Sweep], [Words]) are consumed only by
-    responses, so they hold the response's rendered [result] fragment:
-    the canonical {!Json.to_string} bytes of one JSON object, rendered
-    once inside the builder.  A hit splices those bytes into the
+    are typed values that other builders consume.  The final kinds —
+    {!report}, {!estimate}, {!sweep} and {!words}, named by their key
+    prefix — are consumed only by responses, so each is a [Fragment]:
+    the response's rendered [result], the canonical {!Json.to_string}
+    bytes of one JSON object, rendered once inside the builder.  A hit splices those bytes into the
     response instead of rendering again.  The fragment contract: a
     fragment is exactly the bytes [Json.to_string] gives for its
     object (so it re-renders to itself after [Json.parse]), contains no
@@ -36,22 +36,19 @@ type value =
   | Nu of Imatrix.t  (** ν matrix of a pattern *)
   | Analysis of Cave.analysis
   | Kernel of Kernel.t  (** compiled Monte-Carlo pass program *)
-  | Report of string  (** {!report_json} of the full closed-form report *)
-  | Estimate of string
-      (** {!estimate_json} of the MC window-yield estimate of (config,
-          seed, samples or spec); the seed and the method tag are part
-          of the key *)
-  | Sweep of string
-      (** [{"rows":[…]}], one {!sweep_row_json} per candidate of the
-          spec's platform grid *)
-  | Words of string
-      (** the [codes] result: [{"code":…,"omega":…,"words":[…]}] *)
+  | Fragment of string
+      (** a rendered result under a [report|], [estimate|], [sweep|] or
+          [words|] key: {!report_json} of the full closed-form report,
+          {!estimate_json} of the MC window-yield estimate (the seed
+          and the method tag are part of the key), [{"rows":[…]}] with
+          one {!sweep_row_json} per candidate of the spec's platform
+          grid, or the [codes] result [{"code":…,"omega":…,"words":[…]}] *)
 
 type t = value Artifact_cache.t
 
 val snapshot_schema : string
 (** The {!Snapshot} schema tag for {!snapshot} entries — bumped
-    whenever a fragment kind's key or bytes change shape, so stale
+    whenever a fragment's key or bytes change shape, so stale
     snapshot files load as cold caches rather than as misread bytes. *)
 
 val create : ?enabled:bool -> capacity:int -> unit -> t
@@ -142,5 +139,6 @@ val snapshot : t -> (string * float * string) list
 
 val restore : t -> (string * float * string) list -> (unit, string) result
 (** Warm the cache from {!Snapshot.load} entries.  Every entry must
-    carry a fragment kind's key and a canonical JSON object; otherwise
+    carry a fragment key ([report|], [estimate|], [sweep|] or [words|])
+    and a canonical JSON object; otherwise
     nothing is restored and [Error] names the first offending key. *)

@@ -345,25 +345,7 @@ let run_yield state ~exec params =
     est_hit )
 
 let run_sweep state params =
-  let code_type = code_type_field params in
-  let code_length = Option.value (int_field params "length") ~default:10 in
-  let spec =
-    spec_of_params
-      (Json.Obj
-         [
-           ("code", Json.String (Codebook.name code_type));
-           ("length", Json.Int code_length);
-           ( "radix",
-             Json.Int (Option.value (int_field params "radix") ~default:2) );
-           ( "wires",
-             Json.Int (Option.value (int_field params "wires") ~default:20) );
-           ( "raw_bits",
-             Json.Int
-               (Option.value (int_field params "raw_bits")
-                  ~default:(16 * 1024 * 8)) );
-         ])
-  in
-  Artifacts.sweep state.artifacts spec
+  Artifacts.sweep state.artifacts (spec_of_params params)
 
 let run_codes state params =
   let code_type = code_type_field params in

@@ -21,6 +21,25 @@ module Telemetry = Nanodec_telemetry.Telemetry
 module Fault = Nanodec_fault.Fault
 module E = Nanodec_error
 
+(* The renderer keeps a float's value, not its constructor: integral
+   floats print as integers.  Response bytes are pinned by the goldens,
+   so readers take float fields through [to_float_opt]. *)
+let test_json_float_rendering () =
+  let back f = Json.parse (Json.to_string (Json.Float f)) in
+  List.iter
+    (fun (f, text, parsed) ->
+      Alcotest.(check string) (text ^ " rendered") text
+        (Json.to_string (Json.Float f));
+      Alcotest.(check bool) (text ^ " parsed back") true (back f = Ok parsed))
+    [
+      (0., "0", Json.Int 0);
+      (2., "2", Json.Int 2);
+      (0.5, "0.5", Json.Float 0.5);
+      (1e20, "1e+20", Json.Float 1e20);
+    ];
+  Alcotest.(check (option (float 0.))) "to_float_opt reads Int 2" (Some 2.)
+    (Option.bind (Result.to_option (back 2.)) Json.to_float_opt)
+
 let with_state ?cache_enabled ?(domains = 2) f =
   Run_ctx.with_ctx ~domains @@ fun ctx ->
   f (Protocol.make_state ?cache_enabled ~base:ctx ())
@@ -1213,6 +1232,8 @@ let suite =
       `Quick test_concurrent_duplicates_build_once;
     Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
     Alcotest.test_case "unknown verb" `Quick test_unknown_verb;
+    Alcotest.test_case "JSON renders integral floats as integers" `Quick
+      test_json_float_rendering;
     Alcotest.test_case "malformed JSON leaves the daemon alive" `Quick
       test_malformed_json_then_alive;
     Alcotest.test_case "non-object requests rejected" `Quick
