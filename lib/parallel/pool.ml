@@ -388,11 +388,10 @@ let parallel_for ?timeout_s ?fault ?(degrade = true) ?(warn = true)
     let submitted =
       match tele with Some tl -> Telemetry.now tl.sink | None -> 0.
     in
-    let j =
-      job ~chunks ~batch ~fault ~submitted ~timeout_s
-        ~deadline:(Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s)
-        body
+    let deadline =
+      Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s
     in
+    let j = job ~chunks ~batch ~fault ~submitted ~timeout_s ~deadline body in
     (* ceil(chunks / batch) claims: a single claim means a single
        domain would do all the work anyway. *)
     let sequential =
@@ -436,7 +435,8 @@ let parallel_for ?timeout_s ?fault ?(degrade = true) ?(warn = true)
       | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     in
     match tele with
-    | Some tl when nested -> Telemetry.with_span (Some tl.sink) "pool.inline" run
+    | Some tl when nested ->
+      Telemetry.with_span (Some tl.sink) "pool.inline" run
     | Some _ | None -> run ()
   end
 

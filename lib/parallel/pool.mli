@@ -61,10 +61,10 @@
        degrades: it drains, then re-runs whole on the submitter with
        injection suppressed, under its original deadline, so it still
        completes with bit-identical results (chunk bodies must be
-       restartable — all of this library's are).  The next job starts on the full pool
-       again.  The first degradation on a pool is announced on stderr
-       unless the job passes [~warn:false] (chaos harnesses that
-       inject faults on purpose do).  With [~degrade:false] the job
+       restartable — all of this library's are).  The next job starts
+       on the full pool again.  The first degradation on a pool is
+       announced on stderr unless the job passes [~warn:false] (chaos
+       harnesses that inject faults on purpose do).  With [~degrade:false] the job
        instead raises [Nanodec_error.Error (Degraded _)].}}
 
     Injected crashes therefore never fail a pool-managed computation;

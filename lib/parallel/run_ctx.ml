@@ -75,7 +75,7 @@ let make ?domains ?(seed = default_seed) ?(mc_samples = default_mc_samples)
   | Some f, Some _ -> Fault.set_telemetry f telemetry
   | _ -> ());
   {
-    pool = Option.map (fun domains -> Pool.create ~domains ?telemetry ()) domains;
+    pool = Option.map (fun d -> Pool.create ~domains:d ?telemetry ()) domains;
     seed;
     mc_samples;
     telemetry;

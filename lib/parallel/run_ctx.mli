@@ -3,10 +3,9 @@
     [Run_ctx.t] bundles what used to travel as scattered optional
     arguments — the domain pool, the Monte-Carlo seed and sample count,
     the telemetry sink, and the supervision policy (fault engine,
-    degrade and warn flags, job deadline) — into
-    one value built once (usually from the CLI flags) and threaded
-    through sweeps, figures, scaling, ablations and Monte-Carlo
-    estimators alike:
+    degrade and warn flags, job deadline) — into one value built once
+    (usually from the CLI flags) and threaded through sweeps, figures,
+    scaling, ablations and Monte-Carlo estimators alike:
 
     {[
       Run_ctx.with_ctx ~domains:4 ~telemetry:sink (fun ctx ->

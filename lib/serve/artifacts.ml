@@ -246,11 +246,11 @@ let canonical_object bytes =
 let restore cache entries =
   let rec check acc = function
     | [] -> Ok (List.rev acc)
-    | (key, cost_s, bytes) :: rest -> (
+    | (key, cost_s, bytes) :: rest ->
       if not (fragment_key key) then
         Error (Printf.sprintf "not a fragment key: %S" key)
       else if not (canonical_object bytes) then
         Error (Printf.sprintf "not a canonical JSON object: %S" key)
-      else check ((key, cost_s, Fragment bytes) :: acc) rest)
+      else check ((key, cost_s, Fragment bytes) :: acc) rest
   in
   Result.map (Artifact_cache.restore cache) (check [] entries)

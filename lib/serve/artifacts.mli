@@ -27,11 +27,12 @@ open Nanodec
     {!report}, {!estimate}, {!sweep} and {!words}, named by their key
     prefix — are consumed only by responses, so each is a [Fragment]:
     the response's rendered [result], the canonical {!Json.to_string}
-    bytes of one JSON object, rendered once inside the builder.  A hit splices those bytes into the
-    response instead of rendering again.  The fragment contract: a
-    fragment is exactly the bytes [Json.to_string] gives for its
-    object (so it re-renders to itself after [Json.parse]), contains no
-    newline, and is a pure function of its key. *)
+    bytes of one JSON object, rendered once inside the builder.  A hit
+    splices those bytes into the response instead of rendering again.
+    The fragment contract: a fragment is exactly the bytes
+    [Json.to_string] gives for its object (so it re-renders to itself
+    after [Json.parse]), contains no newline, and is a pure function of
+    its key. *)
 type value =
   | Nu of Imatrix.t  (** ν matrix of a pattern *)
   | Analysis of Cave.analysis
@@ -140,5 +141,5 @@ val snapshot : t -> (string * float * string) list
 val restore : t -> (string * float * string) list -> (unit, string) result
 (** Warm the cache from {!Snapshot.load} entries.  Every entry must
     carry a fragment key ([report|], [estimate|], [sweep|] or [words|])
-    and a canonical JSON object; otherwise
-    nothing is restored and [Error] names the first offending key. *)
+    and a canonical JSON object; otherwise nothing is restored and
+    [Error] names the first offending key. *)

@@ -120,12 +120,19 @@ let test_no_starvation () =
 let test_batch_accounting () =
   let sink = Telemetry.create () in
   Pool.with_pool ~domains:4 ~telemetry:sink (fun pool ->
-      Pool.parallel_for ~batch:4 pool ~chunks:42 ignore);
+      Pool.parallel_for ~batch:4 pool ~chunks:42 ignore;
+      (* A single claim does not fan out, but runs the same claim loop
+         on the submitter, so the same probes count it. *)
+      Pool.parallel_for ~batch:8 pool ~chunks:5 ignore);
   let counters = Telemetry.counters sink in
   let value name = Option.value ~default:0 (List.assoc_opt name counters) in
-  (* ceil(42 / 4) = 11 claims, regardless of which domain won each. *)
-  Alcotest.(check int) "pool.batches counts claims" 11 (value "pool.batches");
-  Alcotest.(check int) "every chunk counted once" 42
+  Alcotest.(check int) "one job fanned out" 1 (value "pool.jobs");
+  Alcotest.(check int) "one job ran on the submitter alone" 1
+    (value "pool.jobs.sequential");
+  (* ceil(42 / 4) = 11 claims, regardless of which domain won each, plus
+     the single claim. *)
+  Alcotest.(check int) "pool.batches counts claims" 12 (value "pool.batches");
+  Alcotest.(check int) "every chunk counted once" 47
     (value "pool.chunks.submitter" + value "pool.chunks.worker")
 
 (* --- the Auto plan: a pure function of (samples, domains) --- *)
