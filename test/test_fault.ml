@@ -163,6 +163,42 @@ let test_crash_everywhere_degrades () =
         Alcotest.(check int) "that job degrades on its own" 2
           (counter "pool.degraded_jobs"))
 
+let test_unfanned_jobs_degrade () =
+  (* A single-claim job and jobs submitted while the pool is busy run
+     on the submitter alone, but crash, retry and degrade like a
+     fanned-out job: every slot is still written, and each job counts
+     one degradation. *)
+  let module Telemetry = Nanodec_telemetry.Telemetry in
+  let sink = Telemetry.create () in
+  let counter name = Telemetry.(counter_value (counter sink name)) in
+  let squares n = Array.init n (fun k -> k * k) in
+  let crashing_job pool ~batch ~chunks =
+    let out = Array.make chunks 0 in
+    Pool.parallel_for ~fault:(engine "pool.chunk:crash:p=1") ~warn:false
+      ~batch pool ~chunks (fun k -> out.(k) <- k * k);
+    out
+  in
+  Pool.with_pool ~domains:2 ~telemetry:sink (fun pool ->
+      Alcotest.(check (array int)) "single claim" (squares 5)
+        (crashing_job pool ~batch:8 ~chunks:5);
+      Alcotest.(check int) "ran on the submitter alone" 1
+        (counter "pool.jobs.sequential");
+      Alcotest.(check int) "single claim degraded" 1
+        (counter "pool.degraded_jobs");
+      let outer =
+        Pool.map pool (fun _ -> crashing_job pool ~batch:1 ~chunks:6)
+          (Array.make 4 ())
+      in
+      Array.iter
+        (Alcotest.(check (array int)) "nested job" (squares 6))
+        outer;
+      Alcotest.(check int) "nested jobs ran inline" 4
+        (counter "pool.jobs.inline_nested");
+      Alcotest.(check int) "each nested job degraded" 5
+        (counter "pool.degraded_jobs");
+      Alcotest.(check bool) "retries counted" true
+        (counter "pool.retries" > 0))
+
 let test_no_degrade_fails_closed () =
   (* [with_ctx ~degrade:false] plumbing, fanned and inline paths. *)
   List.iter
@@ -291,6 +327,24 @@ let test_stall_plus_timeout () =
   match workload ~fault:f ~timeout_s:0.02 ~domains:4 () with
   | _ -> Alcotest.fail "expected Timeout"
   | exception E.Error (E.Timeout _) -> ()
+
+let test_nested_timeout () =
+  (* A job submitted while the pool is busy runs inline, and its
+     deadline is checked by the same claim loop: the inner Timeout
+     surfaces through the outer job's join, and the pool stays usable. *)
+  Pool.with_pool ~domains:2 (fun pool ->
+      (match
+         Pool.map pool
+           (fun () ->
+             Pool.parallel_for ~timeout_s:0.02 pool ~chunks:8 (fun _ ->
+                 Unix.sleepf 0.05))
+           [| (); () |]
+       with
+      | _ -> Alcotest.fail "expected Timeout"
+      | exception E.Error (E.Timeout { seconds = Some s; _ }) ->
+        Alcotest.(check (float 1e-9)) "inner deadline surfaced" 0.02 s);
+      Alcotest.(check (array int)) "pool still usable" [| 1; 4; 9 |]
+        (Pool.map pool (fun x -> x * x) [| 1; 2; 3 |]))
 
 let test_organic_exceptions_not_retried () =
   (* Real bugs must not be retried or degraded away, even with an
@@ -435,6 +489,8 @@ let suite =
       test_crash_first_and_last_chunk;
     Alcotest.test_case "persistent crashes degrade to sequential" `Quick
       test_crash_everywhere_degrades;
+    Alcotest.test_case "jobs that do not fan out degrade too" `Quick
+      test_unfanned_jobs_degrade;
     Alcotest.test_case "no-degrade fails closed with Degraded" `Quick
       test_no_degrade_fails_closed;
     Alcotest.test_case "bounded retries clear transient crashes" `Quick
@@ -453,6 +509,8 @@ let suite =
       test_timeout_mid_job;
     Alcotest.test_case "injected stall trips the deadline" `Quick
       test_stall_plus_timeout;
+    Alcotest.test_case "nested jobs honour their own deadline" `Quick
+      test_nested_timeout;
     Alcotest.test_case "organic exceptions are never retried" `Quick
       test_organic_exceptions_not_retried;
     Alcotest.test_case "exit codes are documented and distinct" `Quick
