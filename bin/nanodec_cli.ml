@@ -757,7 +757,11 @@ let serve_cmd =
     Serve.Server.serve server
   in
   let cache_capacity_arg =
-    let doc = "Artifact-cache capacity (entries, across all kinds)." in
+    let doc =
+      "Artifact-cache capacity (entries, across all kinds).  A full \
+       cache evicts the entry worth least: build cost times uses since \
+       it was inserted, aged so that entries no longer hit go."
+    in
     Arg.(value & opt int 256 & info [ "cache-capacity" ] ~docv:"N" ~doc)
   in
   let no_cache_arg =

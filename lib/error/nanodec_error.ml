@@ -1,6 +1,6 @@
 type t =
   | Invalid_input of { what : string; hint : string option }
-  | Timeout of { site : string; seconds : float option }
+  | Timeout of { site : string; seconds : float }
   | Worker_crash of { site : string; detail : string; injected : bool }
   | Degraded of { site : string; reason : string }
   | Overloaded of { site : string; pending : int; limit : int }
@@ -37,10 +37,9 @@ let pp ppf t =
   (match t with
   | Invalid_input { what; _ } ->
     Format.fprintf ppf "[%s] %s" (label t) what
-  | Timeout { site; seconds = Some s } ->
-    Format.fprintf ppf "[%s] %s exceeded its %gs deadline" (label t) site s
-  | Timeout { site; seconds = None } ->
-    Format.fprintf ppf "[%s] %s was cancelled" (label t) site
+  | Timeout { site; seconds } ->
+    Format.fprintf ppf "[%s] %s exceeded its %gs deadline" (label t) site
+      seconds
   | Worker_crash { site; detail; injected } ->
     if injected then
       Format.fprintf ppf "[%s] injected fault killed %s: %s" (label t) site

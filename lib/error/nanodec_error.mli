@@ -10,8 +10,7 @@
        out-of-range argument, environment variable or derived
        configuration.  The run never started; fix the input.}
     {- {!Timeout} (exit {!exit_timeout}) — a job or a client call
-       exceeded its deadline of [seconds].  [seconds = None] renders as
-       a cancellation; nothing in this library raises it.}
+       exceeded its deadline of [seconds].}
     {- {!Worker_crash} (exit {!exit_worker_crash}) — a chunk of parallel
        work died and the supervisor could not (or was not allowed to)
        recover it.  [injected] distinguishes faults planted by the
@@ -31,7 +30,7 @@
 
 type t =
   | Invalid_input of { what : string; hint : string option }
-  | Timeout of { site : string; seconds : float option }
+  | Timeout of { site : string; seconds : float }
   | Worker_crash of { site : string; detail : string; injected : bool }
   | Degraded of { site : string; reason : string }
   | Overloaded of { site : string; pending : int; limit : int }

@@ -191,7 +191,7 @@ let trip t j timeout_s =
       j.error <-
         Some
           ( max_int,
-            E.Error (E.Timeout { site; seconds = Some timeout_s }),
+            E.Error (E.Timeout { site; seconds = timeout_s }),
             Printexc.get_callstack 0 ))
   end;
   Mutex.unlock t.mutex

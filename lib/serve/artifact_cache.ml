@@ -1,31 +1,63 @@
-type 'v node = {
+(* Replacement is GreedyDual-Size-Frequency (Cherkasova 1998): an
+   entry's priority is [L + uses * weight cost_s], set whenever it is
+   touched; the victim is the lowest priority, and evicting it raises
+   the inflation [L] to its priority, so entries that stop being hit
+   age out however costly they were.  Every entry's priority is >= L.
+
+   Measured build costs below the floor are timing noise, not a
+   difference in rebuild work: a closed-form fragment, ν matrix or
+   analysis takes 15–120 µs, a Monte-Carlo estimate milliseconds.
+   Flooring them makes the cheap kinds weigh alike, so among themselves
+   they are ordered by uses and recency only. *)
+let cost_floor_s = 100e-6
+
+(* [NaN] (a corrupt snapshot cost) compares false and gets the floor. *)
+let weight cost_s = if cost_s > cost_floor_s then cost_s else cost_floor_s
+
+(* An entry's place in the eviction order: lowest [prio] first, and
+   among equal priorities the least recently touched ([touch] is a
+   per-cache counter, so ranks are unique). *)
+type rank = { prio : float; touch : int }
+
+module Order = Map.Make (struct
+  type t = rank
+
+  let compare a b =
+    match Float.compare a.prio b.prio with
+    | 0 -> Int.compare a.touch b.touch
+    | c -> c
+end)
+
+type 'v entry = {
   key : string;
   value : 'v;
   cost_s : float;
-  mutable prev : 'v node option;  (* towards most recently used *)
-  mutable next : 'v node option;  (* towards least recently used *)
+  mutable uses : int;  (* since insertion, the insertion included *)
+  mutable rank : rank;
 }
 
 (* A build in progress: callers that miss the same key while it runs
-   wait on [landed] (under the cache mutex) for its [outcome]. *)
+   wait on [landed] (under the cache mutex) for its [outcome], the
+   entry it stored. *)
 type 'v flight = {
-  mutable outcome : ('v * float, exn * Printexc.raw_backtrace) result option;
+  mutable outcome : ('v entry, exn * Printexc.raw_backtrace) result option;
   landed : Condition.t;
 }
 
 type 'v t = {
   enabled : bool;
   capacity : int;
-  table : (string, 'v node) Hashtbl.t;
+  table : (string, 'v entry) Hashtbl.t;
   flights : (string, 'v flight) Hashtbl.t;
-  mutable mru : 'v node option;
-  mutable lru : 'v node option;
-  mutable entries : int;
+  mutable order : 'v entry Order.t;
+  mutable inflation : float;  (* L: the last victim's priority *)
+  mutable clock : int;  (* last [rank.touch] handed out *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable build_s : float;
   mutable saved_s : float;
+  mutable evicted_cost_s : float;
   mutex : Mutex.t;
 }
 
@@ -37,6 +69,7 @@ type stats = {
   evictions : int;
   build_s : float;
   saved_s : float;
+  evicted_cost_s : float;
 }
 
 let create ?(enabled = true) ~capacity () =
@@ -47,14 +80,15 @@ let create ?(enabled = true) ~capacity () =
     capacity;
     table = Hashtbl.create (min capacity 64);
     flights = Hashtbl.create 8;
-    mru = None;
-    lru = None;
-    entries = 0;
+    order = Order.empty;
+    inflation = 0.;
+    clock = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
     build_s = 0.;
     saved_s = 0.;
+    evicted_cost_s = 0.;
     mutex = Mutex.create ();
   }
 
@@ -62,50 +96,46 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* --- recency list (callers hold the mutex) --- *)
+(* --- eviction order (callers hold the mutex) --- *)
 
-let unlink t node =
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> t.mru <- node.next);
-  (match node.next with
-  | Some nx -> nx.prev <- node.prev
-  | None -> t.lru <- node.prev);
-  node.prev <- None;
-  node.next <- None
+let next_rank t uses cost_s =
+  t.clock <- t.clock + 1;
+  {
+    prio = t.inflation +. (float_of_int uses *. weight cost_s);
+    touch = t.clock;
+  }
 
-let push_front t node =
-  node.next <- t.mru;
-  node.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some node | None -> ());
-  t.mru <- Some node;
-  if t.lru = None then t.lru <- Some node
+let touch t e =
+  t.order <- Order.remove e.rank t.order;
+  e.uses <- e.uses + 1;
+  e.rank <- next_rank t e.uses e.cost_s;
+  t.order <- Order.add e.rank e t.order
 
-let evict_lru t =
-  match t.lru with
-  | None -> ()
-  | Some node ->
-    unlink t node;
-    Hashtbl.remove t.table node.key;
-    t.entries <- t.entries - 1;
-    t.evictions <- t.evictions + 1
+let evict t =
+  let r, victim = Order.min_binding t.order in
+  t.order <- Order.remove r t.order;
+  Hashtbl.remove t.table victim.key;
+  t.inflation <- r.prio;
+  t.evictions <- t.evictions + 1;
+  t.evicted_cost_s <- t.evicted_cost_s +. victim.cost_s
 
+(* Room is made first, so the new entry is ranked against the raised
+   [L] and is never its own victim. *)
 let insert t ~key ~cost_s value =
   (match Hashtbl.find_opt t.table key with
   | Some old ->
     (* Only {!restore} can meet a present key (builds of one key are
        single-flighted); the later entry wins. *)
-    unlink t old;
-    Hashtbl.remove t.table key;
-    t.entries <- t.entries - 1
+    t.order <- Order.remove old.rank t.order;
+    Hashtbl.remove t.table key
   | None -> ());
-  let node = { key; value; cost_s; prev = None; next = None } in
-  Hashtbl.replace t.table key node;
-  push_front t node;
-  t.entries <- t.entries + 1;
-  while t.entries > t.capacity do
-    evict_lru t
-  done
+  while Hashtbl.length t.table >= t.capacity do
+    evict t
+  done;
+  let e = { key; value; cost_s; uses = 1; rank = next_rank t 1 cost_s } in
+  Hashtbl.replace t.table key e;
+  t.order <- Order.add e.rank e t.order;
+  e
 
 let record_hit (t : _ t) cost_s =
   t.hits <- t.hits + 1;
@@ -127,9 +157,10 @@ let unwrap = function
    builds outside the mutex; callers that miss while it runs wait on
    the flight instead of building again.  Builds of other keys —
    including the nested ones a build requests — proceed meanwhile.
-   A flight that ran out of its builder's deadline says nothing about
-   the waiter's own, so the waiter looks again (and builds if need be)
-   rather than inherit the timeout. *)
+   A waiter is a hit on the entry that landed, unless that entry has
+   been evicted meanwhile.  A flight that ran out of its builder's
+   deadline says nothing about the waiter's own, so the waiter looks
+   again (and builds if need be) rather than inherit the timeout. *)
 let find_or_build t ~key build =
   if not t.enabled then begin
     locked t (fun () -> t.misses <- t.misses + 1);
@@ -140,11 +171,10 @@ let find_or_build t ~key build =
   else
     let rec lookup () =
       match Hashtbl.find_opt t.table key with
-      | Some node ->
-        record_hit t node.cost_s;
-        unlink t node;
-        push_front t node;
-        `Done (Ok (node.value, true))
+      | Some e ->
+        record_hit t e.cost_s;
+        touch t e;
+        `Done (Ok (e.value, true))
       | None -> (
         match Hashtbl.find_opt t.flights key with
         | Some flight -> (
@@ -152,9 +182,12 @@ let find_or_build t ~key build =
             Condition.wait flight.landed t.mutex
           done;
           match Option.get flight.outcome with
-          | Ok (v, cost_s) ->
-            record_hit t cost_s;
-            `Done (Ok (v, true))
+          | Ok e ->
+            record_hit t e.cost_s;
+            (match Hashtbl.find_opt t.table key with
+            | Some present when present == e -> touch t e
+            | Some _ | None -> ());
+            `Done (Ok (e.value, true))
           | Error (Nanodec_error.Error (Nanodec_error.Timeout _), _) ->
             lookup ()
           | Error e ->
@@ -169,62 +202,53 @@ let find_or_build t ~key build =
     match locked t lookup with
     | `Done r -> unwrap r
     | `Build flight ->
-      let outcome =
+      let built =
         match timed build with
         | v, cost_s -> Ok (v, cost_s)
         | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
       in
       locked t (fun () ->
           Hashtbl.remove t.flights key;
-          (match outcome with
-          | Ok (v, cost_s) ->
-            t.build_s <- t.build_s +. cost_s;
-            insert t ~key ~cost_s v
-          | Error _ -> ());
-          flight.outcome <- Some outcome;
+          flight.outcome <-
+            Some
+              (Result.map
+                 (fun (v, cost_s) ->
+                   t.build_s <- t.build_s +. cost_s;
+                   insert t ~key ~cost_s v)
+                 built);
           Condition.broadcast flight.landed);
-      unwrap (Result.map (fun (v, _) -> (v, false)) outcome)
+      unwrap (Result.map (fun (v, _) -> (v, false)) built)
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
-let length t = locked t (fun () -> t.entries)
+let length t = locked t (fun () -> Hashtbl.length t.table)
 
 let keys t =
-  locked t (fun () ->
-      let rec walk acc = function
-        | None -> List.rev acc
-        | Some node -> walk (node.key :: acc) node.next
-      in
-      walk [] t.mru)
+  locked t (fun () -> Order.fold (fun _ e acc -> e.key :: acc) t.order [])
 
 let stats t =
   locked t (fun () ->
       {
         capacity = t.capacity;
-        entries = t.entries;
+        entries = Hashtbl.length t.table;
         hits = t.hits;
         misses = t.misses;
         evictions = t.evictions;
         build_s = t.build_s;
         saved_s = t.saved_s;
+        evicted_cost_s = t.evicted_cost_s;
       })
 
 let dump t =
   locked t (fun () ->
-      let rec walk acc = function
-        | None -> acc
-        | Some node ->
-          walk ((node.key, node.cost_s, node.value) :: acc) node.next
-      in
-      (* Walking MRU→LRU while consing reverses the order, so the
-         result is LRU-first: replaying it through {!restore} in list
-         order rebuilds the exact recency chain. *)
-      walk [] t.mru)
+      List.map
+        (fun (_, e) -> (e.key, e.cost_s, e.value))
+        (Order.bindings t.order))
 
 let restore t entries =
   if t.enabled then
     locked t (fun () ->
         List.iter
-          (fun (key, cost_s, value) -> insert t ~key ~cost_s value)
+          (fun (key, cost_s, value) -> ignore (insert t ~key ~cost_s value))
           entries)
 
 let digest key = Digest.to_hex (Digest.string key)
@@ -232,6 +256,5 @@ let digest key = Digest.to_hex (Digest.string key)
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.table;
-      t.mru <- None;
-      t.lru <- None;
-      t.entries <- 0)
+      t.order <- Order.empty;
+      t.inflation <- 0.)

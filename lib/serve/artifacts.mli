@@ -1,7 +1,9 @@
 (** The daemon's typed artifact layer over {!Artifact_cache}.
 
-    One LRU cache holds every artifact kind behind a closed variant, so
-    capacity is a single budget across kinds and the capacity-1
+    One cache holds every artifact kind behind a closed variant, so
+    capacity is a single budget across kinds, eviction weighs each
+    kind's measured build cost against the others' (a Monte-Carlo
+    estimate outlives cheap closed-form fragments), and the capacity-1
     eviction oracle exercises cross-kind eviction too.  Each accessor
     derives its canonical key from the cache-keyed constructors of the
     owning library ({!Nanodec_crossbar.Cave.config_key},
@@ -134,7 +136,7 @@ val sweep : t -> Design.spec -> string * bool
 
 val snapshot : t -> (string * float * string) list
 (** The fragment entries of {!Artifact_cache.dump} — [(key, build-cost
-    seconds, bytes)], least recently used first — for {!Snapshot.save}.
+    seconds, bytes)], next victim first — for {!Snapshot.save}.
     Intermediate kinds are left out; after a restart they rebuild on
     demand. *)
 

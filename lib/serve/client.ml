@@ -18,7 +18,7 @@ let describe = function
 let connect ?(attempts = 40) ?timeout_s address =
   Option.iter (E.check_timeout_s ~what:"timeout") timeout_s;
   let deadline =
-    Option.map (fun s -> Telemetry.monotonic_s () +. s) timeout_s
+    Option.map (fun s -> (s, Telemetry.monotonic_s () +. s)) timeout_s
   in
   let domain, addr = sockaddr_of address in
   let rec attempt left =
@@ -30,8 +30,8 @@ let connect ?(attempts = 40) ?timeout_s address =
       when left > 1 ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       (match deadline with
-      | Some dl when Telemetry.monotonic_s () +. 0.05 >= dl ->
-        E.fail (E.Timeout { site = "client.connect"; seconds = timeout_s })
+      | Some (seconds, dl) when Telemetry.monotonic_s () +. 0.05 >= dl ->
+        E.fail (E.Timeout { site = "client.connect"; seconds })
       | Some _ | None -> ());
       Unix.sleepf 0.05;
       attempt (left - 1)
@@ -68,10 +68,10 @@ let request t line =
   (* One deadline for the whole response, not per read: a daemon
      dribbling bytes forever is exactly the wedge this guards. *)
   let deadline =
-    Option.map (fun s -> Telemetry.monotonic_s () +. s) t.timeout_s
+    Option.map (fun s -> (s, Telemetry.monotonic_s () +. s)) t.timeout_s
   in
-  let timed_out () =
-    E.fail (E.Timeout { site = "client.read"; seconds = t.timeout_s })
+  let timed_out seconds =
+    E.fail (E.Timeout { site = "client.read"; seconds })
   in
   let bytes = Bytes.create read_chunk in
   let rec next () =
@@ -80,11 +80,11 @@ let request t line =
     | None ->
       (match deadline with
       | None -> ()
-      | Some dl -> (
+      | Some (seconds, dl) -> (
         let remaining = dl -. Telemetry.monotonic_s () in
-        if remaining <= 0. then timed_out ();
+        if remaining <= 0. then timed_out seconds;
         match Unix.select [ t.fd ] [] [] remaining with
-        | [], _, _ -> timed_out ()
+        | [], _, _ -> timed_out seconds
         | _ -> ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()));
       (match Unix.read t.fd bytes 0 read_chunk with

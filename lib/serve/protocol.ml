@@ -268,10 +268,8 @@ let error_response ~id err =
         Json.String
           (match err with
           | E.Invalid_input { what; _ } -> what
-          | E.Timeout { site; seconds } -> (
-            match seconds with
-            | Some s -> Printf.sprintf "%s timed out after %gs" site s
-            | None -> Printf.sprintf "%s was cancelled" site)
+          | E.Timeout { site; seconds } ->
+            Printf.sprintf "%s timed out after %gs" site seconds
           | E.Worker_crash { site; detail; injected } ->
             Printf.sprintf "%s crashed%s: %s" site
               (if injected then " (injected)" else "")
@@ -430,6 +428,7 @@ let run_stats state =
             ("evictions", Json.Int s.Artifact_cache.evictions);
             ("build_s", Json.Float s.Artifact_cache.build_s);
             ("saved_s", Json.Float s.Artifact_cache.saved_s);
+            ("evicted_cost_s", Json.Float s.Artifact_cache.evicted_cost_s);
           ] );
     ]
 

@@ -1,7 +1,11 @@
-(* The serve daemon's content-addressed LRU cache, proven correct two
-   ways: unit tests of the LRU mechanics (eviction order, recency
-   refresh, disabled pass-through, failure safety) and two
-   property-based oracles on the lib/proptest engine —
+(* The serve daemon's content-addressed cache, proven correct two ways:
+   unit tests of its mechanics (eviction order, recency refresh,
+   replacement by cost and use, disabled pass-through, failure safety)
+   and property-based oracles on the lib/proptest engine —
+
+   - [eviction = GDSF list model]: after random restores and gets, the
+     eviction order and count match a plain list model of the
+     replacement policy,
 
    - [cache_hit ≡ cache_miss]: an arbitrary request sequence through an
      enabled cache (any capacity, including the eviction-heavy
@@ -28,7 +32,10 @@ let check_outcome = function
   | Property.Fail f ->
     Alcotest.failf "%s" (Format.asprintf "%a" Property.pp_failure f)
 
-(* --- LRU mechanics --- *)
+(* --- eviction mechanics ---
+
+   These builds take far less than the 100 µs cost floor, so every
+   entry weighs the same and the order is recency's. *)
 
 let test_miss_then_hit () =
   let cache = Artifact_cache.create ~capacity:4 () in
@@ -229,7 +236,7 @@ let test_single_flight_timeout_waiters_retry () =
       gate_open started;
       gate_wait release;
       Nanodec_error.fail
-        (Nanodec_error.Timeout { site = "test.build"; seconds = Some 1e-6 })
+        (Nanodec_error.Timeout { site = "test.build"; seconds = 1e-6 })
     end
     else [| Atomic.get builds |]
   in
@@ -389,6 +396,204 @@ let test_clear () =
   Artifact_cache.clear cache;
   Alcotest.(check int) "empty" 0 (Artifact_cache.length cache);
   Alcotest.(check (list string)) "no keys" [] (Artifact_cache.keys cache)
+
+(* --- replacement by cost and use (GDSF) ---
+
+   Build costs are injected through [restore], which inserts an entry
+   with one use, since a measured build time is not reproducible.  An
+   entry's priority is [L + uses * max cost 100µs]; evicting raises
+   [L] to the victim's priority. *)
+
+let insert cache key cost_s = Artifact_cache.restore cache [ (key, cost_s, key) ]
+
+(* The warm-mix pattern: a Monte-Carlo estimate (3 ms to build) among
+   a stream of one-use closed-form fragments.  Recency alone would
+   evict it after [capacity] of them; here it lasts until [L] has
+   climbed to its 3 ms, one floor (100 µs) per [capacity - 1] cheap
+   evictions, and then ages out like anything no longer hit. *)
+let test_costly_entry_outlives_cheap_stream () =
+  let cache = Artifact_cache.create ~capacity:4 () in
+  insert cache "mc" 3e-3;
+  let stream = ref 0 in
+  let cheap n =
+    for _ = 1 to n do
+      incr stream;
+      insert cache (Printf.sprintf "closed-%d" !stream) 20e-6
+    done
+  in
+  cheap 20;
+  Alcotest.(check bool) "the estimate survives 20 cheap inserts" true
+    (Artifact_cache.mem cache "mc");
+  Alcotest.(check int) "every eviction hit the cheap stream" 17
+    (Artifact_cache.stats cache).Artifact_cache.evictions;
+  cheap 100;
+  Alcotest.(check bool) "and ages out once nothing hits it" false
+    (Artifact_cache.mem cache "mc")
+
+(* The cold-mc pattern: a cheap kernel that every estimate reuses,
+   then a stream of expensive one-use estimates.  Recency alone would
+   evict the kernel after [capacity] estimates, and cost alone (no use
+   count) at the first: its 50 uses of 100 µs outweigh a 2 ms
+   estimate's one. *)
+let test_reused_cheap_entry_outlives_costly_stream () =
+  let cache = Artifact_cache.create ~capacity:4 () in
+  insert cache "kernel" 50e-6;
+  for _ = 1 to 49 do
+    ignore
+      (Artifact_cache.find_or_build cache ~key:"kernel" (fun () ->
+           Alcotest.fail "kernel rebuilt"))
+  done;
+  for i = 1 to 8 do
+    insert cache (Printf.sprintf "estimate-%d" i) 2e-3
+  done;
+  Alcotest.(check bool) "the kernel survives 8 estimates" true
+    (Artifact_cache.mem cache "kernel");
+  Alcotest.(check (float 1e-12)) "the evicted estimates' cost is counted"
+    (5. *. 2e-3)
+    (Artifact_cache.stats cache).Artifact_cache.evicted_cost_s
+
+(* A single-flight waiter is a use of the entry that landed: after
+   [n] racing callers "k" has [n] uses, so it outranks a probe worth
+   4.5 of its builds.  Were waiters not counted, "k" would rank below
+   it.  (A caller arriving after the landing is a plain hit, a use
+   either way, so the ranking holds however the threads run.) *)
+let test_single_flight_waiters_are_uses () =
+  let n = 8 in
+  let cache = Artifact_cache.create ~capacity:4 () in
+  let started = gate () and release = gate () in
+  let build () =
+    gate_open started;
+    gate_wait release;
+    [| 42 |]
+  in
+  ignore (race ~n cache build ~started ~release);
+  let cost_k =
+    match Artifact_cache.dump cache with
+    | [ ("k", cost_s, _) ] -> Float.max cost_s 100e-6
+    | _ -> Alcotest.fail "expected the one entry k"
+  in
+  Artifact_cache.restore cache [ ("probe", 4.5 *. cost_k, [||]) ];
+  Alcotest.(check (list string)) "k outranks the probe" [ "k"; "probe" ]
+    (Artifact_cache.keys cache)
+
+(* The model: a plain list of entries, the same priority formula, the
+   victim found by a linear scan.  Operations are restores (inserts
+   with a given cost), and gets, which hit a present key; a get of an
+   absent key is modelled as an insert of a generated cost. *)
+
+type op = Restore of (string * float) list | Get of string * float
+
+type model_entry = {
+  m_key : string;
+  m_cost : float;
+  m_uses : int;
+  m_prio : float;
+  m_touch : int;
+}
+
+type model = {
+  capacity : int;
+  mutable entries : model_entry list;
+  mutable l : float;
+  mutable clock : int;
+  mutable evictions : int;
+}
+
+let model_weight c = if c > 100e-6 then c else 100e-6
+
+let model_rank m uses cost =
+  m.clock <- m.clock + 1;
+  (m.l +. (float_of_int uses *. model_weight cost), m.clock)
+
+let model_lower a b = compare (a.m_prio, a.m_touch) (b.m_prio, b.m_touch) < 0
+
+(* Room is made before the new entry is ranked. *)
+let model_insert m key cost =
+  m.entries <- List.filter (fun e -> e.m_key <> key) m.entries;
+  while List.length m.entries >= m.capacity do
+    let victim =
+      List.fold_left
+        (fun v e -> if model_lower e v then e else v)
+        (List.hd m.entries) m.entries
+    in
+    m.entries <- List.filter (fun e -> e != victim) m.entries;
+    m.l <- victim.m_prio;
+    m.evictions <- m.evictions + 1
+  done;
+  let prio, touch = model_rank m 1 cost in
+  m.entries <-
+    { m_key = key; m_cost = cost; m_uses = 1; m_prio = prio; m_touch = touch }
+    :: m.entries
+
+let model_hit m key =
+  m.entries <-
+    List.map
+      (fun e ->
+        if e.m_key <> key then e
+        else
+          let prio, touch = model_rank m (e.m_uses + 1) e.m_cost in
+          { e with m_uses = e.m_uses + 1; m_prio = prio; m_touch = touch })
+      m.entries
+
+let model_keys m =
+  List.map
+    (fun e -> e.m_key)
+    (List.sort (fun a b -> compare (b.m_prio, b.m_touch) (a.m_prio, a.m_touch))
+       m.entries)
+
+let gdsf_model_prop =
+  let gen =
+    let open Gen in
+    let key = elements [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ] in
+    (* Costs under, at and over the 100 µs floor, with exact ties. *)
+    let cost = elements [ 0.; 20e-6; 100e-6; 150e-6; 1e-3; 3e-3 ] in
+    let op =
+      frequency
+        [
+          (1, map (fun l -> Restore l) (list (pair key cost)));
+          (4, map2 (fun k c -> Get (k, c)) key cost);
+        ]
+    in
+    pair (int_range 1 5) (list op)
+  in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity=%d ops=[%s]" capacity
+      (String.concat "; "
+         (List.map
+            (function
+              | Restore l ->
+                "restore "
+                ^ String.concat ","
+                    (List.map (fun (k, c) -> Printf.sprintf "%s:%g" k c) l)
+              | Get (k, c) -> Printf.sprintf "get %s:%g" k c)
+            ops))
+  in
+  Property.make ~name:"serve: cache eviction = GDSF list model" ~print gen
+    (fun (capacity, ops) ->
+      let cache = Artifact_cache.create ~capacity () in
+      let m = { capacity; entries = []; l = 0.; clock = 0; evictions = 0 } in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Restore l ->
+            Artifact_cache.restore cache (List.map (fun (k, c) -> (k, c, k)) l);
+            List.iter (fun (k, c) -> model_insert m k c) l
+          | Get (k, c) ->
+            if List.exists (fun e -> e.m_key = k) m.entries then begin
+              ignore
+                (Artifact_cache.find_or_build cache ~key:k (fun () -> "rebuilt"));
+              model_hit m k
+            end
+            else begin
+              Artifact_cache.restore cache [ (k, c, k) ];
+              model_insert m k c
+            end);
+          Artifact_cache.keys cache = model_keys m
+          && (Artifact_cache.stats cache).Artifact_cache.evictions = m.evictions)
+        ops)
+
+let test_gdsf_model_oracle () =
+  check_outcome (Property.run ~seed:2009 ~count:300 gdsf_model_prop)
 
 (* --- oracle: cache_hit ≡ cache_miss ---
 
@@ -887,6 +1092,14 @@ let suite =
       test_single_flight_nested_builds;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "GDSF: a costly entry outlives cheap one-use inserts"
+      `Quick test_costly_entry_outlives_cheap_stream;
+    Alcotest.test_case "GDSF: a reused cheap entry outlives costly inserts"
+      `Quick test_reused_cheap_entry_outlives_costly_stream;
+    Alcotest.test_case "GDSF: single-flight waiters are uses" `Quick
+      test_single_flight_waiters_are_uses;
+    Alcotest.test_case "oracle: eviction = GDSF list model" `Quick
+      test_gdsf_model_oracle;
     Alcotest.test_case "oracle: cache_hit = cache_miss" `Quick
       test_hit_equiv_miss_oracle;
     Alcotest.test_case "artifacts: hit = cold, bit for bit" `Quick

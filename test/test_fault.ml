@@ -265,7 +265,7 @@ let test_poolless_timeout () =
                1.)))
   with
   | _ -> Alcotest.fail "expected Timeout"
-  | exception E.Error (E.Timeout { seconds = Some s; _ }) ->
+  | exception E.Error (E.Timeout { seconds = s; _ }) ->
     Alcotest.(check (float 1e-9)) "deadline surfaced" 0.05 s;
     Alcotest.(check bool) "stopped early" true
       (Unix.gettimeofday () -. t0 < 0.4)
@@ -316,7 +316,7 @@ let test_timeout_mid_job () =
                 ~chunks:8 (fun _ -> Unix.sleepf 0.05))
       with
       | () -> Alcotest.fail "expected Timeout"
-      | exception E.Error (E.Timeout { seconds = Some s; _ }) ->
+      | exception E.Error (E.Timeout { seconds = s; _ }) ->
         Alcotest.(check (float 1e-9)) "deadline surfaced" 0.02 s)
     [ 1; 4 ]
 
@@ -341,7 +341,7 @@ let test_nested_timeout () =
            [| (); () |]
        with
       | _ -> Alcotest.fail "expected Timeout"
-      | exception E.Error (E.Timeout { seconds = Some s; _ }) ->
+      | exception E.Error (E.Timeout { seconds = s; _ }) ->
         Alcotest.(check (float 1e-9)) "inner deadline surfaced" 0.02 s);
       Alcotest.(check (array int)) "pool still usable" [| 1; 4; 9 |]
         (Pool.map pool (fun x -> x * x) [| 1; 2; 3 |]))
@@ -364,7 +364,7 @@ let test_exit_codes_distinct () =
   let all =
     [
       E.Invalid_input { what = "w"; hint = None };
-      E.Timeout { site = "s"; seconds = Some 1. };
+      E.Timeout { site = "s"; seconds = 1. };
       E.Worker_crash { site = "s"; detail = "d"; injected = true };
       E.Degraded { site = "s"; reason = "r" };
       E.Internal { detail = "d" };

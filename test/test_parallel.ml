@@ -242,7 +242,7 @@ let test_timeout_mid_batch () =
   let module E = Nanodec_error in
   Pool.with_pool ~domains:2 (fun pool ->
       Alcotest.check_raises "deadline trips mid-batch"
-        (E.Error (E.Timeout { site = "pool.job"; seconds = Some 0.05 }))
+        (E.Error (E.Timeout { site = "pool.job"; seconds = 0.05 }))
         (fun () ->
           (* Two claims of 64 chunks each: ~128 ms of sleeping per
              claim, so the 50 ms deadline always expires inside a

@@ -270,6 +270,33 @@ let test_stats_counts () =
   Alcotest.(check int) "serial queued" 0 (int_member "queued" serve);
   Alcotest.(check int) "serial shed" 0 (int_member "shed" serve)
 
+(* [cache.evicted_cost_s] is the build work eviction threw away: zero
+   until an entry is evicted, then that entry's measured build cost,
+   which is part of [build_s]. *)
+let test_stats_evicted_cost () =
+  Run_ctx.with_ctx ~domains:1 @@ fun ctx ->
+  let state = Protocol.make_state ~cache_capacity:1 ~base:ctx () in
+  let cache () = member "cache" (expect_ok (ask state {|{"verb":"stats"}|})) in
+  let sweep wires =
+    expect_ok
+      (ask state
+         (Printf.sprintf {|{"verb":"sweep","params":{"radix":2,"wires":%d}}|}
+            wires))
+    |> ignore
+  in
+  sweep 20;
+  Alcotest.(check (float 0.)) "nothing evicted, nothing lost" 0.
+    (float_member "evicted_cost_s" (cache ()));
+  sweep 24;
+  let c = cache () in
+  Alcotest.(check int) "one eviction" 1 (int_member "evictions" c);
+  let lost = float_member "evicted_cost_s" c in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 < evicted_cost_s %g < build_s %g" lost
+       (float_member "build_s" c))
+    true
+    (lost > 0. && lost < float_member "build_s" c)
+
 (* Concurrent duplicates of one cold request cost what a single request
    costs: every cache layer (estimate, kernel, analysis, ν) is built
    once, exactly one response is the cold build, and every response
@@ -933,8 +960,7 @@ let test_client_timeout_on_wedged_daemon () =
   | (_ : string) -> Alcotest.fail "expected the client deadline to fire"
   | exception E.Error (E.Timeout { site; seconds } as err) ->
     Alcotest.(check string) "timeout site" "client.read" site;
-    Alcotest.(check (option (float 0.))) "timeout carries the deadline"
-      (Some 0.2) seconds;
+    Alcotest.(check (float 0.)) "timeout carries the deadline" 0.2 seconds;
     Alcotest.(check int) "timeout exit code" 3 (E.exit_code err)
 
 let test_idle_and_slowloris_reaped () =
@@ -1228,6 +1254,8 @@ let suite =
     Alcotest.test_case "sweep round trip" `Quick test_sweep_round_trip;
     Alcotest.test_case "check verb" `Quick test_check_verb;
     Alcotest.test_case "stats counters" `Quick test_stats_counts;
+    Alcotest.test_case "stats reports evicted build cost" `Quick
+      test_stats_evicted_cost;
     Alcotest.test_case "concurrent duplicates build each artifact once"
       `Quick test_concurrent_duplicates_build_once;
     Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
