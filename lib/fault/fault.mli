@@ -11,7 +11,9 @@
     {- [cave.window] — before a cave window-yield estimate fans out;}
     {- [telemetry.flush] — before a telemetry sink is exported;}
     {- [serve.dispatch] — before a daemon worker executes a request
-       (keyed by the request's arrival sequence number);}
+       (keyed by the request's arrival sequence number).  A request the
+       select loop answers from the cache is not dispatched and never
+       probes this site, though it still takes its arrival number;}
     {- [serve.snapshot] — before the daemon writes an artifact-cache
        snapshot (keyed by the snapshot ordinal).}}
 

@@ -44,7 +44,7 @@ type 'v flight = {
   landed : Condition.t;
 }
 
-type 'v t = {
+type 'v store = {
   enabled : bool;
   capacity : int;
   table : (string, 'v entry) Hashtbl.t;
@@ -61,6 +61,13 @@ type 'v t = {
   mutex : Mutex.t;
 }
 
+(* A handle on a store.  [probe = None] is the cache itself; [Some found]
+   is a hits-only handle, holding the entries its lookups found, latest
+   first, until {!commit} counts them. *)
+type 'v t = { store : 'v store; probe : 'v entry list ref option }
+
+exception Not_cached
+
 type stats = {
   capacity : int;
   entries : int;
@@ -75,24 +82,29 @@ type stats = {
 let create ?(enabled = true) ~capacity () =
   if capacity < 1 then
     invalid_arg "Artifact_cache.create: capacity must be >= 1";
-  {
-    enabled;
-    capacity;
-    table = Hashtbl.create (min capacity 64);
-    flights = Hashtbl.create 8;
-    order = Order.empty;
-    inflation = 0.;
-    clock = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    build_s = 0.;
-    saved_s = 0.;
-    evicted_cost_s = 0.;
-    mutex = Mutex.create ();
-  }
+  let store =
+    {
+      enabled;
+      capacity;
+      table = Hashtbl.create (min capacity 64);
+      flights = Hashtbl.create 8;
+      order = Order.empty;
+      inflation = 0.;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      build_s = 0.;
+      saved_s = 0.;
+      evicted_cost_s = 0.;
+      mutex = Mutex.create ();
+    }
+  in
+  { store; probe = None }
 
-let locked t f =
+let hits_only t = { store = t.store; probe = Some (ref []) }
+
+let locked (t : _ store) f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
@@ -110,6 +122,13 @@ let touch t e =
   e.uses <- e.uses + 1;
   e.rank <- next_rank t e.uses e.cost_s;
   t.order <- Order.add e.rank e t.order
+
+(* Raise [e]'s rank unless it has been evicted (or replaced) since it
+   was found. *)
+let touch_if_present t e =
+  match Hashtbl.find_opt t.table e.key with
+  | Some present when present == e -> touch t e
+  | Some _ | None -> ()
 
 let evict t =
   let r, victim = Order.min_binding t.order in
@@ -137,7 +156,7 @@ let insert t ~key ~cost_s value =
   t.order <- Order.add e.rank e t.order;
   e
 
-let record_hit (t : _ t) cost_s =
+let record_hit (t : _ store) cost_s =
   t.hits <- t.hits + 1;
   t.saved_s <- t.saved_s +. cost_s
 
@@ -161,7 +180,7 @@ let unwrap = function
    been evicted meanwhile.  A flight that ran out of its builder's
    deadline says nothing about the waiter's own, so the waiter looks
    again (and builds if need be) rather than inherit the timeout. *)
-let find_or_build t ~key build =
+let build_through t ~key build =
   if not t.enabled then begin
     locked t (fun () -> t.misses <- t.misses + 1);
     let v, cost_s = timed build in
@@ -184,9 +203,7 @@ let find_or_build t ~key build =
           match Option.get flight.outcome with
           | Ok e ->
             record_hit t e.cost_s;
-            (match Hashtbl.find_opt t.table key with
-            | Some present when present == e -> touch t e
-            | Some _ | None -> ());
+            touch_if_present t e;
             `Done (Ok (e.value, true))
           | Error (Nanodec_error.Error (Nanodec_error.Timeout _), _) ->
             lookup ()
@@ -219,13 +236,47 @@ let find_or_build t ~key build =
           Condition.broadcast flight.landed);
       unwrap (Result.map (fun (v, _) -> (v, false)) built)
 
-let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
-let length t = locked t (fun () -> Hashtbl.length t.table)
+(* A hits-only lookup moves nothing: the entry is remembered and counted
+   by [commit], or forgotten with the handle.  A key whose build is in
+   flight is not cached yet. *)
+let find_or_build t ~key build =
+  match t.probe with
+  | None -> build_through t.store ~key build
+  | Some found -> (
+    let t = t.store in
+    match
+      locked t (fun () ->
+          if t.enabled then Hashtbl.find_opt t.table key else None)
+    with
+    | Some e ->
+      found := e :: !found;
+      (e.value, true)
+    | None -> raise Not_cached)
 
-let keys t =
+(* The hits are counted in lookup order, as [build_through] counts them;
+   an entry evicted since it was found still counts as a hit but has no
+   rank left to raise, as for a flight waiter. *)
+let commit t =
+  match t.probe with
+  | None -> ()
+  | Some found ->
+    let hits = List.rev !found in
+    found := [];
+    let t = t.store in
+    locked t (fun () ->
+        List.iter
+          (fun e ->
+            record_hit t e.cost_s;
+            touch_if_present t e)
+          hits)
+
+let mem { store = t; _ } key = locked t (fun () -> Hashtbl.mem t.table key)
+let length { store = t; _ } = locked t (fun () -> Hashtbl.length t.table)
+
+let keys { store = t; _ } =
   locked t (fun () -> Order.fold (fun _ e acc -> e.key :: acc) t.order [])
 
-let stats t =
+let stats { store = t; _ } =
   locked t (fun () ->
       {
         capacity = t.capacity;
@@ -238,13 +289,13 @@ let stats t =
         evicted_cost_s = t.evicted_cost_s;
       })
 
-let dump t =
+let dump { store = t; _ } =
   locked t (fun () ->
       List.map
         (fun (_, e) -> (e.key, e.cost_s, e.value))
         (Order.bindings t.order))
 
-let restore t entries =
+let restore { store = t; _ } entries =
   if t.enabled then
     locked t (fun () ->
         List.iter
@@ -253,7 +304,7 @@ let restore t entries =
 
 let digest key = Digest.to_hex (Digest.string key)
 
-let clear t =
+let clear { store = t; _ } =
   locked t (fun () ->
       Hashtbl.reset t.table;
       t.order <- Order.empty;

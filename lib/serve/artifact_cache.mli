@@ -97,6 +97,29 @@ val find_or_build : 'v t -> key:string -> (unit -> 'v) -> 'v * bool
     ever waits, directly or transitively, on itself.  A build must
     never request its own key. *)
 
+exception Not_cached
+(** Raised by {!find_or_build} on a {!hits_only} handle instead of
+    building or waiting. *)
+
+val hits_only : 'v t -> 'v t
+(** A hits-only handle on the same entries: its {!find_or_build}
+    returns a cached value with [true], and raises {!Not_cached} when
+    [key] is absent — also while its build is in flight, and always on
+    a disabled cache — instead of building or waiting.  A lookup
+    through it leaves no trace: it counts no hit or miss and raises no
+    priority until {!commit}, so an attempt abandoned on {!Not_cached}
+    changes nothing.  This is how the daemon answers a request on its
+    select loop when everything it needs is cached, and hands it to a
+    worker otherwise.  Every other function acts on the shared cache
+    as on the handle it came from. *)
+
+val commit : 'v t -> unit
+(** Count the hits a {!hits_only} handle has found since its last
+    commit, in lookup order, exactly as {!find_or_build} on the cache
+    would have counted them; an entry evicted or replaced since it was
+    found counts as a hit but keeps no rank, as for a single-flight
+    waiter.  A no-op on the cache itself. *)
+
 val mem : 'v t -> string -> bool
 (** Pure membership probe: no counter moves, no priority changes. *)
 

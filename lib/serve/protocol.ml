@@ -9,7 +9,7 @@ module Fault = Nanodec_fault.Fault
 (* A live view of the server's dispatch queue and snapshot clock,
    installed by the concurrent server so the [stats] and [shutdown]
    verbs can report scheduling state.  [None] (direct [handle_line]
-   callers: tests, a hypothetical inline runner) reports zeros. *)
+   callers: tests, the benchmark replay) reports zeros. *)
 type scheduler = {
   max_inflight : int;
   max_queue : int;
@@ -434,7 +434,15 @@ let run_stats state =
 
 (* --- dispatch --- *)
 
-let dispatch state ~id json =
+(* The verbs whose results are cache fragments: the only ones an
+   [inline] attempt (a hits-only cache handle) makes. *)
+let cached_verb json =
+  match Json.member "verb" json with
+  | Some (Json.String ("evaluate" | "yield" | "sweep" | "codes")) -> true
+  | _ -> false
+
+(* A request object's verb, execution knobs and parameters. *)
+let request_of_json json =
   let verb =
     match string_field json "verb" with
     | Some v -> v
@@ -443,8 +451,9 @@ let dispatch state ~id json =
         ~hint:("known verbs: " ^ String.concat ", " known_verbs)
         "request has no \"verb\" field"
   in
-  let exec = exec_of_json json in
-  let params = params_of_json json in
+  (verb, exec_of_json json, params_of_json json)
+
+let dispatch state ~id ~verb ~exec params =
   let tree json = (Json.to_string json, false) in
   let result, cached =
     match verb with
@@ -479,27 +488,37 @@ let dispatch state ~id json =
 
 let error_line err = Json.to_string (error_response ~id:Json.Null err)
 
-let handle_line state line =
-  Atomic.incr state.requests;
-  let id, response =
-    match Json.parse line with
-    | Error msg ->
+(* One line's id and its answer, the response or the error.  Only an
+   [inline] state's cache raises [Not_cached]; that attempt is dropped
+   with everything it found, and the line goes to a worker. *)
+let answer state ~inline line =
+  match Json.parse line with
+  | Ok (Json.Obj _ as json) when (not inline) || cached_verb json -> (
+    let id = Option.value (Json.member "id" json) ~default:Json.Null in
+    match
+      let verb, exec, params = request_of_json json in
+      (* Knobs that must execute decline an [inline] attempt. *)
+      if inline && bypasses_result_cache exec then None
+      else Some (dispatch state ~id ~verb ~exec params)
+    with
+    | Some response -> Some (id, Ok response)
+    | None | (exception Artifact_cache.Not_cached) -> None
+    | exception exn -> (
+      match Errors.classify exn with
+      | Some err -> Some (id, Error err)
+      | None ->
+        (* A genuine bug — but a daemon must answer, not die.  The
+           detail keeps the exception text so the bug is findable. *)
+        Some (id, Error (E.internal (Printexc.to_string exn)))))
+  | _ when inline -> None
+  | Error msg ->
+    Some
       ( Json.Null,
         Error
           (E.Invalid_input { what = "malformed JSON request"; hint = Some msg })
       )
-    | Ok (Json.Obj _ as json) -> (
-      let id = Option.value (Json.member "id" json) ~default:Json.Null in
-      match dispatch state ~id json with
-      | response -> (id, Ok response)
-      | exception exn -> (
-        match Errors.classify exn with
-        | Some err -> (id, Error err)
-        | None ->
-          (* A genuine bug — but a daemon must answer, not die.  The
-             detail keeps the exception text so the bug is findable. *)
-          (id, Error (E.internal (Printexc.to_string exn)))))
-    | Ok v ->
+  | Ok v ->
+    Some
       ( Json.Null,
         Error
           (E.Invalid_input
@@ -507,9 +526,25 @@ let handle_line state line =
                what = "request must be a JSON object";
                hint = Some (Printf.sprintf "got %s" (Json.to_string v));
              }) )
-  in
+
+let render state (id, response) =
   match response with
   | Ok r -> r
   | Error err ->
     Atomic.incr state.errors;
     Json.to_string (error_response ~id err)
+
+let handle_line state line =
+  Atomic.incr state.requests;
+  match answer state ~inline:false line with
+  | Some answered -> render state answered
+  | None -> assert false (* only an [inline] attempt declines *)
+
+let handle_hit state line =
+  let hits = { state with artifacts = Artifact_cache.hits_only state.artifacts } in
+  match answer hits ~inline:true line with
+  | None -> None
+  | Some answered ->
+    Artifact_cache.commit hits.artifacts;
+    Atomic.incr state.requests;
+    Some (render state answered)

@@ -34,7 +34,10 @@
     render their results per request: the artifact cache stores each
     result as its rendered fragment ({!Artifacts.value}), and the
     response splices those bytes into the envelope.  The splice is
-    byte-identical to rendering the whole response tree.
+    byte-identical to rendering the whole response tree.  When every
+    fragment a request needs is cached, the daemon answers it on its
+    select loop through {!handle_hit}, the same code on a hits-only
+    view of the cache.
 
     Execution knobs in ["exec"] are validated by the same
     {!Nanodec_error} validators as the CLI flags and applied through
@@ -106,6 +109,24 @@ val known_verbs : string list
 val handle_line : state -> string -> string
 (** [handle_line state line] executes one request line and returns the
     response line (newline not included).  Total: never raises. *)
+
+val handle_hit : state -> string -> string option
+(** [handle_hit state line] is [Some (handle_line state line)] when the
+    line can be answered from the cache alone, and [None] otherwise:
+    the daemon's select loop calls it before handing a line to a
+    worker.  It runs the same parse and dispatch as {!handle_line}, on a
+    {!Artifact_cache.hits_only} handle of the state's cache.  It
+    declines ([None]) a line that is not a JSON object, a verb other
+    than [evaluate], [yield], [sweep] or [codes], a request with a fault
+    plan or [no_degrade], and a request that needs any artifact not in
+    the cache (a miss, or a build still in flight).  A declined attempt
+    leaves no trace: no request, error, hit or miss is counted and no
+    cache priority moves.  An answer counts everything {!handle_line}
+    would have counted, in the same order, so a daemon answering some
+    lines here and the rest on workers ends in the cache state a serial
+    [handle_line] run reaches.  A request for one of those verbs whose
+    fields fail validation needs no artifact, so it is answered here,
+    with the error {!handle_line} gives. *)
 
 val error_line : Nanodec_error.t -> string
 (** Render a connection-level error (no request to take an ["id"]

@@ -1,3 +1,12 @@
+(* A request's path.  The select loop frames a line; on a connection
+   with nothing outstanding it first tries the line on the cache alone
+   ([answer_inline], {!Protocol.handle_hit}), and a hit is answered and
+   written within the same turn of the loop.  Any other line is queued
+   for a worker thread ([enqueue]), whose response comes back through
+   [completions] and the self-pipe wake-up.  Both paths deliver through
+   the connection's arrival-ordered output, written as soon as it is
+   ready. *)
+
 module E = Nanodec_error
 module Telemetry = Nanodec_telemetry.Telemetry
 module Run_ctx = Nanodec_parallel.Run_ctx
@@ -152,6 +161,13 @@ let wake t =
 (* EAGAIN: a wake byte is already pending, which is all we need;
    EBADF/EPIPE: [close] raced us, the loop is gone anyway. *)
 
+(* Every answered request, inline or on a worker, is timed and counted
+   alike. *)
+let record_request t t0 =
+  Telemetry.record (sink t) "serve.request_s"
+    (Telemetry.monotonic_s () -. t0);
+  Telemetry.count (sink t) "serve.requests" 1
+
 let execute_line t ~key ~line =
   let t0 = Telemetry.monotonic_s () in
   let response =
@@ -168,9 +184,16 @@ let execute_line t ~key ~line =
       | Some err -> Protocol.error_line err
       | None -> Protocol.error_line (E.internal (Printexc.to_string exn)))
   in
-  Telemetry.record (sink t) "serve.request_s"
-    (Telemetry.monotonic_s () -. t0);
-  Telemetry.count (sink t) "serve.requests" 1;
+  record_request t t0;
+  response
+
+(* A request answered from the cache on the select loop: never queued,
+   never outstanding, and not probed at [serve.dispatch].  A declined
+   attempt records nothing. *)
+let answer_inline t line =
+  let t0 = Telemetry.monotonic_s () in
+  let response = Protocol.handle_hit t.state line in
+  if Option.is_some response then record_request t t0;
   response
 
 (* Publish one finished request: settle the scheduler accounting and
@@ -369,6 +392,36 @@ let complete t conn_id seq response =
     flush_ready conn
   | None -> ()  (* the client left before its answer was ready *)
 
+let unflushed conn =
+  conn.sent < String.length conn.sending || Buffer.length conn.out > 0
+
+(* Everything submitted has been answered and flushed. *)
+let settled conn = conn.next_write = conn.next_seq && not (unflushed conn)
+
+let handle_writable t conn =
+  if conn.sending = "" then begin
+    conn.sending <- Buffer.contents conn.out;
+    Buffer.reset conn.out
+  end;
+  let pending = String.length conn.sending - conn.sent in
+  if pending > 0 then
+    match Unix.write_substring conn.fd conn.sending conn.sent pending with
+    | n ->
+      conn.sent <- conn.sent + n;
+      if conn.sent = String.length conn.sending then begin
+        conn.sending <- "";
+        conn.sent <- 0;
+        if conn.closing && settled conn then drop_conn t conn
+      end
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      -> ()
+    | exception Unix.Unix_error _ -> drop_conn t conn
+
+(* Responses are written as soon as they are ready; only what the
+   socket does not take at once waits for [select]. *)
+let write_ready t =
+  List.iter (fun c -> if unflushed c then handle_writable t c) t.conns
+
 let drain_completions t =
   Mutex.lock t.sched.mutex;
   let completions = t.sched.completions in
@@ -376,7 +429,10 @@ let drain_completions t =
   Mutex.unlock t.sched.mutex;
   (* Arrival order is restored by the per-connection sequence numbers,
      so the list order (newest first) does not matter. *)
-  List.iter (fun (conn_id, seq, r) -> complete t conn_id seq r) completions
+  if completions <> [] then begin
+    List.iter (fun (conn_id, seq, r) -> complete t conn_id seq r) completions;
+    write_ready t
+  end
 
 let drain_wake t =
   let rec go () =
@@ -390,11 +446,7 @@ let drain_wake t =
 
 (* --- admission --- *)
 
-let submit t conn line =
-  let seq = conn.next_seq in
-  conn.next_seq <- seq + 1;
-  let key = t.next_key in
-  t.next_key <- key + 1;
+let enqueue t conn ~seq ~key line =
   let capacity = t.max_inflight + t.max_queue in
   Mutex.lock t.sched.mutex;
   let outstanding = t.sched.outstanding in
@@ -414,6 +466,22 @@ let submit t conn line =
     Mutex.unlock t.sched.mutex;
     Telemetry.record (sink t) "serve.queue_depth" (float_of_int (outstanding + 1))
   end
+
+(* A line on a connection with nothing outstanding is first tried on
+   the select loop, from the cache alone ({!Protocol.handle_hit}); it
+   still takes its arrival key, so dispatch keys stay global arrival
+   indices.  Anything else — a miss (the attempt ran into
+   [Artifact_cache.Not_cached]), an uncached verb, an earlier request
+   still unanswered — goes to [enqueue]. *)
+let submit t conn line =
+  let seq = conn.next_seq in
+  conn.next_seq <- seq + 1;
+  let key = t.next_key in
+  t.next_key <- key + 1;
+  let answered = if conn.next_write = seq then answer_inline t line else None in
+  match answered with
+  | Some response -> complete t conn.id seq response
+  | None -> enqueue t conn ~seq ~key line
 
 let oversized t conn =
   (* Answered locally (never dispatched), but through the same
@@ -476,12 +544,6 @@ let feed t conn data n =
 
 (* --- socket events --- *)
 
-let unflushed conn =
-  conn.sent < String.length conn.sending || Buffer.length conn.out > 0
-
-(* Everything submitted has been answered and flushed. *)
-let settled conn = conn.next_write = conn.next_seq && not (unflushed conn)
-
 let handle_readable t conn =
   match Unix.read conn.fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 ->
@@ -491,29 +553,11 @@ let handle_readable t conn =
     if settled conn then drop_conn t conn else conn.closing <- true
   | n ->
     conn.last_activity <- Telemetry.monotonic_s ();
-    feed t conn t.read_buf n
+    feed t conn t.read_buf n;
+    if unflushed conn then handle_writable t conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> drop_conn t conn
-
-let handle_writable t conn =
-  if conn.sending = "" then begin
-    conn.sending <- Buffer.contents conn.out;
-    Buffer.reset conn.out
-  end;
-  let pending = String.length conn.sending - conn.sent in
-  if pending > 0 then
-    match Unix.write_substring conn.fd conn.sending conn.sent pending with
-    | n ->
-      conn.sent <- conn.sent + n;
-      if conn.sent = String.length conn.sending then begin
-        conn.sending <- "";
-        conn.sent <- 0;
-        if conn.closing && settled conn then drop_conn t conn
-      end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      -> ()
-    | exception Unix.Unix_error _ -> drop_conn t conn
 
 let handle_accept t =
   match Unix.accept t.listen_fd with

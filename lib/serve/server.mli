@@ -2,13 +2,20 @@
 
     One [select] loop multiplexes any number of client connections
     over a Unix-domain or loopback TCP socket and owns all socket
-    state; complete request lines are dispatched onto a bounded queue
-    served by [max_inflight] worker threads.  Concurrent execution is
-    invisible on the wire: each connection's responses are written
-    back in arrival order (later completions wait for earlier ones),
-    so every response stream is byte-identical to the serial daemon's
-    — the contract behind the CI smoke goldens and the concurrent-soak
-    determinism test.
+    state.  A complete request line on a connection with nothing
+    outstanding is first tried on the loop itself
+    ({!Protocol.handle_hit}): a cached verb whose every artifact is in
+    the cache is answered there, with no queue, worker or wake-up in
+    between.  Every other line — a miss, a build in flight, a fault
+    plan or [no_degrade], an uncached verb, or any line behind an
+    unanswered one — is dispatched onto a bounded queue served by
+    [max_inflight] worker threads.  A response is written as soon as it
+    is ready; [select] waits only for bytes the socket did not take.
+    Concurrent execution is invisible on the wire: each connection's
+    responses are written back in arrival order (later completions
+    wait for earlier ones), so every response stream is byte-identical
+    to the serial daemon's — the contract behind the CI smoke goldens
+    and the concurrent-soak determinism test.
 
     {2 Admission control}
 
@@ -20,7 +27,9 @@
     requests record the post-admission depth in the
     [serve.queue_depth] histogram.  Because the bound counts
     submissions minus completions, the shed decision never depends on
-    how quickly a worker thread happens to be scheduled.
+    how quickly a worker thread happens to be scheduled.  A request
+    answered on the select loop is never submitted: it is not
+    outstanding, not counted toward the bound and never shed.
 
     {2 Robustness}
 
@@ -55,8 +64,12 @@
     the restart byte-identically.
 
     When the protocol state's base context carries a telemetry sink,
-    every request records its latency in the [serve.request_s]
-    histogram and bumps [serve.requests]. *)
+    every answered request, on the loop or on a worker, records its
+    latency in the [serve.request_s] histogram and bumps
+    [serve.requests]; an attempt on the loop that falls back to a
+    worker records nothing.  A [serve.dispatch] fault probe runs only
+    on the worker path, keyed by the global arrival index that every
+    line takes. *)
 
 type address =
   [ `Unix of string  (** filesystem path of a Unix-domain socket *)

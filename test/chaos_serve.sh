@@ -5,13 +5,16 @@
 #          interval, capture the cold bytes of a Monte-Carlo battery.
 # Phase 2  hammer the same battery through 4 parallel clients — every
 #          client must read back the cold bytes with "cached":true.
-# Phase 3  start background load clients and `kill -9` the daemon mid
+# Phase 3  the same 4 warm clients while a 4000-sample miss computes on
+#          another connection: the select loop answers the warm hits
+#          itself, and they must still read back the cold bytes.
+# Phase 4  start background load clients and `kill -9` the daemon mid
 #          load: no graceful drain, no shutdown snapshot — whatever the
 #          periodic snapshotter last renamed into place is all we keep.
-# Phase 4  restart on the same --cache-file: the battery must come back
+# Phase 5  restart on the same --cache-file: the battery must come back
 #          warm ("cached":true) and bit-identical to the pre-crash
 #          bytes.
-# Phase 5  truncate the snapshot and restart once more: the daemon must
+# Phase 6  truncate the snapshot and restart once more: the daemon must
 #          come up cold (never crash-loop) and recompute the exact cold
 #          bytes.
 set -eu
@@ -62,7 +65,19 @@ for i in 1 2 3 4; do battery "$OUT.par$i" & pids="$pids $!"; done
 for pid in $pids; do wait "$pid"; done
 for i in 1 2 3 4; do diff -u "$OUT.expect" "$OUT.par$i"; done
 
-echo "phase 3: kill -9 mid-load"
+echo "phase 3: 4 warm clients beside a cold 4000-sample miss"
+"$NANODEC" client --socket "$SOCK" --timeout 60 \
+  '{"verb":"evaluate","params":{"code":"BGC","length":8},"exec":{"seed":301,"mc_samples":4000}}' \
+  > "$OUT.miss" &
+miss=$!
+pids=""
+for i in 1 2 3 4; do battery "$OUT.busy$i" & pids="$pids $!"; done
+for pid in $pids; do wait "$pid"; done
+for i in 1 2 3 4; do diff -u "$OUT.expect" "$OUT.busy$i"; done
+wait "$miss"
+grep -q '"status":"ok","verb":"evaluate","cached":false' "$OUT.miss"
+
+echo "phase 4: kill -9 mid-load"
 # Two snapshot intervals so the periodic snapshotter has renamed a
 # snapshot covering the battery into place before the crash.
 sleep 2.5
@@ -84,13 +99,13 @@ DAEMON=""
 wait "$load1" 2>/dev/null || true
 wait "$load2" 2>/dev/null || true
 
-echo "phase 4: restart on the same cache file serves the warm bytes"
+echo "phase 5: restart on the same cache file serves the warm bytes"
 start_daemon
 battery "$OUT.warm"
 diff -u "$OUT.expect" "$OUT.warm"
 shutdown_daemon
 
-echo "phase 5: corrupted snapshot degrades to a cold cache"
+echo "phase 6: corrupted snapshot degrades to a cold cache"
 size=$(wc -c < "$CACHE")
 dd if="$CACHE" of="$CACHE.tmp" bs=1 count=$((size / 2)) 2>/dev/null
 mv "$CACHE.tmp" "$CACHE"

@@ -476,6 +476,64 @@ let test_single_flight_waiters_are_uses () =
   Alcotest.(check (list string)) "k outranks the probe" [ "k"; "probe" ]
     (Artifact_cache.keys cache)
 
+(* A hits-only handle counts nothing and moves no rank until [commit],
+   which counts its hits as the cache's own gets would have (a twin cache
+   takes the same gets).  Absent keys and keys in flight raise
+   [Not_cached] at once, without building or waiting, and an entry
+   evicted before the commit counts as a hit but is not brought back. *)
+let test_hits_only_handle () =
+  let fresh () =
+    let c = Artifact_cache.create ~capacity:4 () in
+    List.iter (fun k -> insert c k 20e-6) [ "a"; "b"; "c" ];
+    c
+  in
+  let cache = fresh () and twin = fresh () in
+  let never () = Alcotest.fail "a hits-only lookup built" in
+  let get c k = fst (Artifact_cache.find_or_build c ~key:k never) in
+  let hits c = (Artifact_cache.stats c).Artifact_cache.hits in
+  let not_cached h k =
+    match Artifact_cache.find_or_build h ~key:k never with
+    | _ -> Alcotest.failf "%s is not cached" k
+    | exception Artifact_cache.Not_cached -> ()
+  in
+  let h = Artifact_cache.hits_only cache in
+  Alcotest.(check string) "a found" "a" (get h "a");
+  Alcotest.(check string) "b found" "b" (get h "b");
+  not_cached h "z";
+  Alcotest.(check (list string)) "no rank moved" [ "c"; "b"; "a" ]
+    (Artifact_cache.keys cache);
+  Alcotest.(check (pair int int)) "nothing counted" (0, 0)
+    (hits cache, (Artifact_cache.stats cache).Artifact_cache.misses);
+  Artifact_cache.commit h;
+  Artifact_cache.commit h;
+  ignore (get twin "a");
+  ignore (get twin "b");
+  Alcotest.(check (list string)) "ranked as the twin's gets"
+    (Artifact_cache.keys twin) (Artifact_cache.keys cache);
+  Alcotest.(check int) "counted once, as the twin's" (hits twin) (hits cache);
+  let h = Artifact_cache.hits_only cache in
+  ignore (get h "c");
+  insert cache "d" 20e-6;
+  insert cache "e" 20e-6;
+  Artifact_cache.commit h;
+  Alcotest.(check bool) "c stays evicted" false (Artifact_cache.mem cache "c");
+  Alcotest.(check int) "but its hit counts" (hits twin + 1) (hits cache);
+  let started = gate () and release = gate () in
+  let builder =
+    Thread.create
+      (fun () ->
+        Artifact_cache.find_or_build cache ~key:"k" (fun () ->
+            gate_open started;
+            gate_wait release;
+            "k"))
+      ()
+  in
+  gate_wait started;
+  not_cached (Artifact_cache.hits_only cache) "k";
+  gate_open release;
+  Thread.join builder;
+  Alcotest.(check string) "k landed" "k" (get (Artifact_cache.hits_only cache) "k")
+
 (* The model: a plain list of entries, the same priority formula, the
    victim found by a linear scan.  Operations are restores (inserts
    with a given cost), and gets, which hit a present key; a get of an
@@ -1098,6 +1156,8 @@ let suite =
       `Quick test_reused_cheap_entry_outlives_costly_stream;
     Alcotest.test_case "GDSF: single-flight waiters are uses" `Quick
       test_single_flight_waiters_are_uses;
+    Alcotest.test_case "hits-only handle: no trace until commit" `Quick
+      test_hits_only_handle;
     Alcotest.test_case "oracle: eviction = GDSF list model" `Quick
       test_gdsf_model_oracle;
     Alcotest.test_case "oracle: cache_hit = cache_miss" `Quick

@@ -12,7 +12,8 @@
      leave the daemon answering;
    - real sockets: a server thread serving Unix-domain and TCP clients,
      oversized-line resync, partial-line EOF, shutdown draining
-     pipelined requests, and the 8-client soak whose responses must be
+     pipelined requests, warm hits answered on the select loop (and
+     only those), and the 8-client soak whose responses must be
      byte-identical across clients and across domain counts 1 and 4. *)
 
 open Nanodec_serve
@@ -939,6 +940,195 @@ let test_dispatch_fault_classified () =
     (bool_member "pong" (expect_ok r2));
   ignore (Client.request conn {|{"verb":"shutdown"}|})
 
+(* --- answers on the select loop --- *)
+
+let warm_line = {|{"id":"warm","verb":"evaluate","params":{"code":"TC","length":6}}|}
+
+(* One worker, and every dispatch stalls it for 400 ms, so it is parked
+   on a ping: a cached evaluate on another connection is answered on the
+   select loop without waiting for it, while a cold one queues behind
+   the ping. *)
+let test_warm_hit_skips_parked_worker () =
+  let fault =
+    Fault.create (Fault.parse_exn "seed=1;serve.dispatch:stall=400ms")
+  in
+  serve_in_thread ~fault ~max_inflight:1 (`Tcp 0) @@ fun address ->
+  Client.with_connection address @@ fun conn ->
+  ignore (expect_ok (parse_response (Client.request conn warm_line)));
+  let parked = raw_connect address in
+  let ping = {|{"verb":"ping"}|} ^ "\n" in
+  let t_parked = Telemetry.monotonic_s () in
+  ignore (Unix.write_substring parked ping 0 (String.length ping));
+  Thread.delay 0.02;
+  let timed line =
+    let t0 = Telemetry.monotonic_s () in
+    let r = parse_response (Client.request conn line) in
+    (r, Telemetry.monotonic_s () -. t0)
+  in
+  let warm, warm_s = timed warm_line in
+  Alcotest.(check bool) "warm hit served" true (bool_member "cached" warm);
+  Alcotest.(check bool)
+    (Printf.sprintf "warm hit within 200 ms of asking (took %.3f s)" warm_s)
+    true (warm_s < 0.2);
+  let cold, _ =
+    timed {|{"verb":"evaluate","params":{"code":"TC","length":8}}|}
+  in
+  Alcotest.(check bool) "cold request computed" false (bool_member "cached" cold);
+  let waited = Telemetry.monotonic_s () -. t_parked in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold request waited for the parked worker (%.3f s)" waited)
+    true (waited >= 0.38);
+  let ic = Unix.in_channel_of_descr parked in
+  Alcotest.(check bool) "parked ping answered" true
+    (bool_member "pong" (expect_ok (parse_response (input_line ic))));
+  Unix.close parked;
+  ignore (Client.request conn {|{"verb":"shutdown"}|})
+
+(* A miss holds back the hits pipelined behind it on its connection:
+   they go to the workers and come back after it, as the serial bytes. *)
+let test_pipelined_miss_then_hit () =
+  let lines =
+    [
+      {|{"id":1,"verb":"evaluate","params":{"code":"BGC","length":8},"exec":{"seed":5,"mc_samples":2000}}|};
+      {|{"id":2,"verb":"evaluate","params":{"code":"TC","length":6}}|};
+      {|{"id":3,"verb":"codes","params":{"code":"GC","length":6,"count":8}}|};
+      {|{"id":4,"verb":"evaluate","params":{"code":"TC","length":6}}|};
+    ]
+  in
+  let warm = [ warm_line; List.nth lines 2 ] in
+  let serial =
+    with_state @@ fun state ->
+    List.iter (fun l -> ignore (Protocol.handle_line state l)) warm;
+    List.map (Protocol.handle_line state) lines
+  in
+  serve_in_thread (`Tcp 0) @@ fun address ->
+  (Client.with_connection address @@ fun conn ->
+   List.iter (fun l -> ignore (Client.request conn l)) warm);
+  let fd = raw_connect address in
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  ignore (Unix.write_substring fd payload 0 (String.length payload));
+  let ic = Unix.in_channel_of_descr fd in
+  let answered = List.map (fun _ -> input_line ic) lines in
+  Unix.close fd;
+  Alcotest.(check (list string)) "arrival order, serial bytes" serial answered;
+  Client.with_connection address @@ fun conn ->
+  ignore (Client.request conn {|{"verb":"shutdown"}|})
+
+(* Every arrival key below names a worker crash at [serve.dispatch], so
+   a request comes back ok only if the select loop answered it: the
+   cached hit (key 1) and nothing else. *)
+let test_only_plain_cache_reads_inline () =
+  let fault =
+    Fault.create
+      (Fault.parse_exn
+         (String.concat ";"
+            ("seed=1"
+            :: List.init 5 (fun i ->
+                   Printf.sprintf "serve.dispatch:crash:key=%d" (i + 1)))))
+  in
+  serve_in_thread ~fault (`Tcp 0) @@ fun address ->
+  Client.with_connection address @@ fun conn ->
+  let ask line = parse_response (Client.request conn line) in
+  ignore (expect_ok (ask warm_line));
+  let hit = ask warm_line in
+  ignore (expect_ok hit);
+  Alcotest.(check bool) "a plain hit is answered inline" true
+    (bool_member "cached" hit);
+  List.iter
+    (fun (what, line) ->
+      let r = ask line in
+      expect_error ~kind:"worker-crash" ~exit_code:4 r;
+      Alcotest.(check bool) (what ^ " went to a worker") true
+        (contains ~needle:"serve.dispatch" (string_member "message" r)))
+    [
+      ( "a fault plan",
+        {|{"verb":"evaluate","params":{"code":"TC","length":6},"exec":{"fault_plan":"seed=1;pool.chunk:delay=1ms:p=0"}}|}
+      );
+      ( "no_degrade",
+        {|{"verb":"evaluate","params":{"code":"TC","length":6},"exec":{"no_degrade":true}}|}
+      );
+      ("ping", {|{"verb":"ping"}|});
+      ("stats", {|{"verb":"stats"}|});
+    ];
+  ignore (Client.request conn {|{"verb":"shutdown"}|})
+
+(* Hits, misses, evictions, partial hits and invalid parameters, sent
+   one line at a time so the select loop attempts each, leave the cache
+   exactly as a serial [handle_line] run does.  Capacity 1 makes the
+   eviction order independent of measured build costs; at 256 nothing
+   is evicted and the keys are compared as a set, since their order
+   depends on build costs that differ between runs. *)
+let inline_battery =
+  let mc = {|"exec":{"seed":3,"mc_samples":40}|} in
+  let eval = {|"verb":"evaluate","params":{"code":"TC","length":4,"wires":8}|} in
+  [
+    {|{"verb":"codes","params":{"code":"GC","length":4,"count":4}}|};
+    {|{"verb":"codes","params":{"code":"GC","length":4,"count":4}}|};
+    "{" ^ eval ^ "}";
+    "{" ^ eval ^ "}";
+    "{" ^ eval ^ "," ^ mc ^ "}";
+    "{" ^ eval ^ "," ^ mc ^ "}";
+    "{" ^ eval ^ "}";
+    {|{"verb":"yield","params":{"code":"TC","length":4,"wires":8},|} ^ mc ^ "}";
+    {|{"verb":"yield","params":{"code":"TC","length":4,"wires":8},|} ^ mc ^ "}";
+    {|{"verb":"evaluate","params":{"code":"TC","length":4,"wires":8},"exec":{"seed":3,"mc_samples":40,"timeout":60}}|};
+    {|{"verb":"codes","params":{"code":"GC","length":99}}|};
+    {|{"verb":"evaluate","exec":{"seed":-1}}|};
+    {|{"verb":"ping"}|};
+    {|{"verb":"sweep","params":{"wires":8}}|};
+    {|{"verb":"sweep","params":{"wires":8}}|};
+    {|{"verb":"codes","params":{"code":"GC","length":4,"count":4}}|};
+    {|{"verb":"codes","params":{"code":"GC","length":4,"count":4}}|};
+  ]
+
+(* The [stats] fields that count, without the measured seconds. *)
+let stats_counts response =
+  let r = expect_ok (parse_response response) in
+  let cache = member "cache" r in
+  ( [ int_member "requests" r; int_member "errors" r ],
+    List.map
+      (fun f -> int_member f cache)
+      [ "capacity"; "entries"; "hits"; "misses"; "evictions" ] )
+
+let test_inline_leaves_no_trace () =
+  let stats_line = {|{"verb":"stats"}|} in
+  List.iter
+    (fun capacity ->
+      let order keys = if capacity = 1 then keys else List.sort compare keys in
+      let serial_stats, serial_keys =
+        Run_ctx.with_ctx ~domains:2 @@ fun ctx ->
+        let state = Protocol.make_state ~cache_capacity:capacity ~base:ctx () in
+        List.iter (fun l -> ignore (Protocol.handle_line state l)) inline_battery;
+        ( stats_counts (Protocol.handle_line state stats_line),
+          order (Artifact_cache.keys (Protocol.artifacts state)) )
+      in
+      let sink = Telemetry.create () in
+      Run_ctx.with_ctx ~telemetry:sink ~domains:2 @@ fun ctx ->
+      let state = Protocol.make_state ~cache_capacity:capacity ~base:ctx () in
+      let server = Server.create ~state (`Tcp 0) in
+      let thread = Thread.create Server.serve server in
+      let daemon_stats =
+        Fun.protect
+          ~finally:(fun () ->
+            Server.close server;
+            Thread.join thread)
+          (fun () ->
+            Client.with_connection (Server.address server) @@ fun conn ->
+            List.iter (fun l -> ignore (Client.request conn l)) inline_battery;
+            stats_counts (Client.request conn stats_line))
+      in
+      let label = Printf.sprintf "capacity %d: " capacity in
+      Alcotest.(check (pair (list int) (list int)))
+        (label ^ "stats counts") serial_stats daemon_stats;
+      Alcotest.(check (list string))
+        (label ^ "cache keys") serial_keys
+        (order (Artifact_cache.keys (Protocol.artifacts state)));
+      Alcotest.(check (option int))
+        (label ^ "serve.requests counts every answer")
+        (Some (List.length inline_battery + 1))
+        (List.assoc_opt "serve.requests" (Telemetry.counters sink)))
+    [ 1; 256 ]
+
 (* --- client deadlines & idle reaping --- *)
 
 let test_client_timeout_on_wedged_daemon () =
@@ -1294,6 +1484,14 @@ let suite =
       `Quick test_pipelined_sweeps_read_late;
     Alcotest.test_case "overload sheds deterministically" `Quick
       test_overload_sheds_deterministically;
+    Alcotest.test_case "a warm hit skips the parked worker" `Quick
+      test_warm_hit_skips_parked_worker;
+    Alcotest.test_case "pipelined miss then hit, serial bytes" `Quick
+      test_pipelined_miss_then_hit;
+    Alcotest.test_case "only plain cache reads are answered inline" `Quick
+      test_only_plain_cache_reads_inline;
+    Alcotest.test_case "inline attempts leave no trace in the cache" `Quick
+      test_inline_leaves_no_trace;
     Alcotest.test_case "serve.dispatch fault classified, daemon survives"
       `Quick test_dispatch_fault_classified;
     Alcotest.test_case "client deadline on a wedged daemon" `Quick
