@@ -1,229 +1,18 @@
-(* Benchmark and reproduction harness.
-
-   With no argument this executable prints, for every figure of the
-   paper's evaluation section, the data series the figure reports — the
-   reproduction.  (Perfbench times the same figures end to end as its
-   [figures.*_ms] metrics.)
+(* Gated benchmark suites.
 
    [--json] runs the parallel, kernel and variance-reduction suites,
    [--serve] the daemon suite; [--quick] shrinks either.  Every suite
    returns rows of one schema, writes them to BENCH_<suite>.json and
    checks its gates against the rows it just wrote.  A gate is a named
    constant, checked on every run of its suite; a failed gate exits 1.
+   The paper's figures are printed by the CLI ([nanodec figures],
+   [headlines], [ablate], [baseline], [export]), not here.
 
-   Run with [dune exec bench/main.exe [-- --json|--serve [--quick]]]. *)
+   Run with [dune exec bench/main.exe -- --json|--serve [--quick]]. *)
 
 open Nanodec_codes
 open Nanodec_numerics
 open Nanodec
-
-let section title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* --- Fig. 5: fabrication complexity --- *)
-
-let print_fig5 () =
-  section "FIG 5 — fabrication complexity (extra litho/doping steps), N = 10";
-  Printf.printf "%-12s %-6s %-4s %s\n" "logic" "code" "M" "Phi";
-  List.iter
-    (fun (p : Figures.fig5_point) ->
-      let logic =
-        match p.radix with
-        | 2 -> "binary"
-        | 3 -> "ternary"
-        | 4 -> "quaternary"
-        | n -> string_of_int n ^ "-ary"
-      in
-      Printf.printf "%-12s %-6s %-4d %d\n" logic
-        (Codebook.name p.code_type)
-        p.code_length p.phi)
-    (Figures.fig5 ());
-  print_endline
-    "paper: binary flat at 2N = 20; ternary/quaternary TC above; GC \
-     cancels most of the multi-valued overhead (17% saving)"
-
-(* --- Fig. 6: variability maps --- *)
-
-let print_fig6 () =
-  section
-    "FIG 6 — sqrt(Sigma)/sigma_T per (nanowire, digit), binary codes, N = 20";
-  List.iter
-    (fun (s : Figures.fig6_surface) ->
-      Printf.printf "\n%s (L=%d): mean nu = %.2f, max sqrt(nu) = %.2f\n"
-        (Codebook.name s.code_type)
-        s.code_length s.mean_nu s.max_std;
-      let m = s.normalized_std in
-      Printf.printf "%-5s" "wire";
-      for j = 0 to Fmatrix.cols m - 1 do
-        Printf.printf " d%-4d" (j + 1)
-      done;
-      print_newline ();
-      for i = 0 to Fmatrix.rows m - 1 do
-        Printf.printf "%-5d" (i + 1);
-        for j = 0 to Fmatrix.cols m - 1 do
-          Printf.printf " %-5.2f" (Fmatrix.get m i j)
-        done;
-        print_newline ()
-      done)
-    (Figures.fig6 ());
-  print_endline
-    "\npaper: TC peaks at sqrt(20) ~ 4.5 on early wires / low digits; BGC \
-     flattens the map; longer codes lower the average (-18%)"
-
-(* --- Fig. 7: crossbar yield --- *)
-
-let print_fig7 () =
-  section "FIG 7 — crossbar yield (fraction of addressable crosspoints)";
-  Printf.printf "%-6s %-4s %s\n" "code" "M" "yield";
-  List.iter
-    (fun (p : Figures.fig7_point) ->
-      Printf.printf "%-6s %-4d %.1f%%\n"
-        (Codebook.name p.code_type)
-        p.code_length
-        (100. *. p.crossbar_yield))
-    (Figures.fig7 ());
-  print_endline
-    "paper: yield rises with M to a maximum near M~10 (TC/BGC) and M~6 \
-     (HC); BGC ~42% over TC at M=8; AHC ~19% over HC at M=8; ~40 points \
-     from TC M=6 to M=10"
-
-(* --- Fig. 8: bit area --- *)
-
-let print_fig8 () =
-  section "FIG 8 — average area per functional bit [nm^2]";
-  let fig8_points = Figures.fig8 () in
-  Printf.printf "%-6s %-6s %-6s %-6s\n" "code" "M=6" "M=8" "M=10";
-  List.iter
-    (fun ct ->
-      let area m =
-        match
-          List.find_opt
-            (fun (p : Figures.fig8_point) ->
-              p.code_type = ct && p.code_length = m)
-            fig8_points
-        with
-        | Some p -> p.Figures.bit_area
-        | None -> nan
-      in
-      Printf.printf "%-6s %-6.0f %-6.0f %-6.0f\n" (Codebook.name ct) (area 6)
-        (area 8) (area 10))
-    Codebook.all_types;
-  print_endline
-    "paper: TC -51% from M=6 to 10; BGC ~30% denser than TC at M=8; minima \
-     ~169 nm^2 (BGC, M=10) and ~175 nm^2 (AHC, M=6)"
-
-let print_headlines () =
-  section "HEADLINE NUMBERS (measured vs paper)";
-  Format.printf "%a@." Figures.pp_headlines (Figures.headlines ())
-
-(* --- extension: multi-valued variability (paper, Section 6.2 remark) --- *)
-
-let print_fig6_multivalued () =
-  section "FIG 6 EXTENSION — multi-valued logic variability summaries";
-  List.iter
-    (fun radix ->
-      Printf.printf "radix %d:\n" radix;
-      List.iter
-        (fun (s : Figures.fig6_surface) ->
-          Printf.printf "  %-4s M=%-3d mean nu = %.2f  max sqrt(nu) = %.2f\n"
-            (Codebook.name s.code_type)
-            s.code_length s.mean_nu s.max_std)
-        (Figures.fig6_multivalued ~radix ()))
-    [ 3; 4 ];
-  print_endline
-    "paper: 'similar results were obtained for these codes with a higher \
-     logic level' — Gray arrangements reduce and flatten nu at every radix"
-
-(* --- extension: multi-valued decoder designs --- *)
-
-let print_multivalued () =
-  section "EXTENSION — multi-valued decoder designs (yield and area)";
-  Printf.printf "%-6s %-6s %-4s %-5s %-8s %s\n" "logic" "code" "M" "Phi"
-    "yield" "bit area";
-  List.iter
-    (fun (p : Figures.multivalued_point) ->
-      Printf.printf "%-6d %-6s %-4d %-5d %-8.3f %.0f\n" p.radix
-        (Codebook.name p.code_type)
-        p.code_length p.phi p.crossbar_yield p.bit_area)
-    (Figures.multivalued_designs ());
-  print_endline
-    "finding: at the paper's sigma_T = 50 mV (plus intrinsic variability) \
-     the shrunken level separation makes ternary/quaternary decoders \
-     yield-limited — the area benefit the paper's ref [2] hoped for needs \
-     proportionally tighter V_T control; the Gray code still beats the \
-     tree code at every radix"
-
-(* --- baseline: stochastic-assembly decoders (paper refs [6], [8]) --- *)
-
-let print_baseline () =
-  section "BASELINE — stochastic-assembly decoder vs deterministic MSPT";
-  Printf.printf "%-8s %-6s %-22s %-22s %s\n" "Omega" "group" "E[unique wires]"
-    "deterministic wires" "stochastic loss";
-  List.iter
-    (fun (omega, group_size) ->
-      let a = Nanodec_crossbar.Stochastic.analyze ~omega ~group_size in
-      Printf.printf "%-8d %-6d %-22.2f %-22d %.1f%%\n" omega group_size
-        a.Nanodec_crossbar.Stochastic.expected_unique_wires
-        a.Nanodec_crossbar.Stochastic.deterministic_unique_wires
-        (100. *. Nanodec_crossbar.Stochastic.stochastic_loss ~omega ~group_size))
-    [ (8, 8); (16, 16); (32, 20); (70, 20) ];
-  print_endline
-    "the MSPT decoder's deterministic code assignment (the paper's first \
-     novelty) avoids the collision losses inherent to stochastically \
-     assembled decoders"
-
-(* --- extension: technology scaling --- *)
-
-let print_scaling () =
-  section "EXTENSION — technology scaling (best design per node / size)";
-  print_endline "by lithography node:";
-  List.iter
-    (fun p -> Format.printf "  %a@." Scaling.pp_point p)
-    (Scaling.sweep_nodes ());
-  print_endline "by raw memory size (32 nm node):";
-  List.iter
-    (fun p -> Format.printf "  %a@." Scaling.pp_point p)
-    (Scaling.sweep_memory_sizes ());
-  print_endline
-    "finding: the AHC(M=6)/BGC(M=10) near-tie of Fig. 8 is node- and \
-     size-dependent — finer lithography or larger arrays amortise the \
-     longer code's decoder overhead and hand the optimum to the balanced \
-     Gray code"
-
-(* --- ablations: robustness of the BGC-beats-TC conclusion --- *)
-
-let print_ablations () =
-  section "ABLATIONS — does BGC > TC survive moving the calibration?";
-  List.iter
-    (fun series -> Format.printf "%a@.@." Ablation.pp series)
-    (Ablation.all ())
-
-(* --- extension: the arrangement optimiser vs the analytic optimum --- *)
-
-let print_arranger () =
-  section "EXTENSION — simulated-annealing arrangement vs Gray optimum";
-  let rng = Rng.create ~seed:2009 in
-  let omega = 16 in
-  let shuffled =
-    let space =
-      Array.of_list (Tree_code.reflected_words ~radix:2 ~base_len:4 ~count:omega)
-    in
-    Rng.shuffle rng space;
-    Array.to_list space
-  in
-  let gray = Gray_code.reflected_words ~radix:2 ~base_len:4 ~count:omega in
-  let annealed = Arranger.optimize (Rng.split rng) `Sigma shuffled in
-  let show name words =
-    Printf.printf "%-18s transitions %4.0f   sigma-weighted %5.0f\n" name
-      (Arranger.cost `Transitions words)
-      (Arranger.cost `Sigma words)
-  in
-  show "random shuffle" shuffled;
-  show "annealed" annealed;
-  show "Gray (analytic)" gray;
-  print_endline
-    "the local search recovers (near-)Gray cost from a random order — the \
-     optimum of Propositions 4-5 without knowing the Gray construction"
 
 (* --- machine-readable suites: one row schema, one writer --- *)
 
@@ -864,10 +653,9 @@ let run_serve ~quick =
             (Codebook.name ct) m mc_samples ))
       Figures.fig7_candidates
   in
-  section
-    (Printf.sprintf
-       "SERVE — cold vs warm-cache evaluate, %d fig7 designs x %d MC samples"
-       (List.length requests) mc_samples);
+  Printf.printf
+    "serve: cold vs warm-cache evaluate, %d fig7 designs x %d MC samples\n%!"
+    (List.length requests) mc_samples;
   (* Phase 1: cold/warm; the graceful drain persists the cache snapshot
      for phase 2. *)
   let designs =
@@ -1100,33 +888,19 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
   let modes = [ "--json"; "--serve"; "--quick" ] in
+  let usage unknown =
+    Printf.eprintf "bench/main.exe: %s (usage: [--json|--serve] [--quick])\n"
+      unknown;
+    exit 2
+  in
   (match List.filter (fun a -> not (List.mem a modes)) args with
   | [] -> ()
-  | unknown ->
-    Printf.eprintf
-      "bench/main.exe: unknown argument %s (usage: [--json|--serve] \
-       [--quick])\n"
-      (String.concat " " unknown);
-    exit 2);
+  | unknown -> usage ("unknown argument " ^ String.concat " " unknown));
   if List.mem "--serve" args then run_serve ~quick
   else if List.mem "--json" args then begin
     run_parallel ~quick;
     run_kernels ~quick;
     run_mc ~quick
   end
-  else begin
-    print_endline "nanodec reproduction harness — Ben Jamaa et al., DAC 2009";
-    print_fig5 ();
-    print_fig6 ();
-    print_fig7 ();
-    print_fig8 ();
-    print_headlines ();
-    print_fig6_multivalued ();
-    print_multivalued ();
-    print_baseline ();
-    print_arranger ();
-    print_scaling ();
-    print_ablations ();
-    print_endline "\ndone."
-  end;
+  else usage "no mode given";
   if !gate_failed then exit 1

@@ -490,13 +490,17 @@ let figures_cmd =
   let run which flags =
     handle @@ fun () ->
     (* fig5/fig6 are closed-form and cheap; the design-evaluation grids
-       (fig7, fig8, multivalued) fan out across the pool. *)
+       (fig7, fig8, multivalued, scaling) fan out across the pool. *)
     let pooled =
       match which with
-      | "fig7" | "fig8" | "multivalued" -> true
+      | "fig7" | "fig8" | "multivalued" | "scaling" -> true
       | _ -> false
     in
     Ctx_flags.with_ctx ~want_pool:pooled flags @@ fun ctx ->
+    let print_fig6 (s : Figures.fig6_surface) =
+      Printf.printf "%s L=%d mean_nu=%.2f max_std=%.2f\n"
+        (Codebook.name s.code_type) s.code_length s.mean_nu s.max_std
+    in
     match which with
     | "fig5" ->
       List.iter
@@ -504,12 +508,18 @@ let figures_cmd =
           Printf.printf "n=%d %s M=%d Phi=%d\n" p.radix
             (Codebook.name p.code_type) p.code_length p.phi)
         (Figures.fig5 ())
-    | "fig6" ->
+    | "fig6" -> List.iter print_fig6 (Figures.fig6 ())
+    | "fig6-multivalued" ->
+      (* The paper's Section 6.2 remark: Gray arrangements reduce and
+         flatten nu at every radix. *)
       List.iter
-        (fun (s : Figures.fig6_surface) ->
-          Printf.printf "%s L=%d mean_nu=%.2f max_std=%.2f\n"
-            (Codebook.name s.code_type) s.code_length s.mean_nu s.max_std)
-        (Figures.fig6 ())
+        (fun radix ->
+          List.iter
+            (fun s ->
+              Printf.printf "n=%d " radix;
+              print_fig6 s)
+            (Figures.fig6_multivalued ~radix ()))
+        [ 3; 4 ]
     | "fig7" ->
       List.iter
         (fun (p : Figures.fig7_point) ->
@@ -529,12 +539,23 @@ let figures_cmd =
             p.radix (Codebook.name p.code_type) p.code_length p.phi
             p.crossbar_yield p.bit_area)
         (Figures.multivalued_designs ~ctx ())
+    | "scaling" ->
+      List.iter
+        (fun p -> Format.printf "%a@." Scaling.pp_point p)
+        (Scaling.sweep_nodes ~ctx () @ Scaling.sweep_memory_sizes ~ctx ())
     | s ->
-      E.invalid_inputf ~hint:"valid figures: fig5, fig6, fig7, fig8, multivalued"
+      E.invalid_inputf
+        ~hint:
+          "valid figures: fig5, fig6, fig6-multivalued, fig7, fig8, \
+           multivalued, scaling"
         "unknown figure %S" s
   in
   let which_arg =
-    let doc = "Which figure: fig5, fig6, fig7, fig8 or multivalued." in
+    let doc =
+      "Which figure: fig5, fig6, fig6-multivalued (Fig. 6 at radix 3 and 4), \
+       fig7, fig8, multivalued or scaling (best design per lithography node \
+       and per memory size)."
+    in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc)
   in
   Cmd.v

@@ -6,9 +6,10 @@
     (Prop 2 and Definition 3), the dose/pattern characterisations of the
     fabrication complexity [φ] (Definition 4) and the hit counts [ν]
     (Definition 5), the Gray arrangement's optimality of both [Φ] and
-    [‖Σ‖₁] (Props 4–5, against random arrangements of small spaces), the
-    hot-code structure and distance-2 arrangement of Section 5, and the
-    supporting word/codebook/metrics algebra.
+    [‖Σ‖₁] (Props 4–5, against random arrangements of small spaces and
+    their {!Nanodec_codes.Arranger} annealings), the hot-code structure
+    and distance-2 arrangement of Section 5, the deterministic address of
+    every nanowire, and the supporting word/codebook/metrics algebra.
 
     These run both under [dune runtest] (via [test/test_properties.ml])
     and standalone as [nanodec check]. *)
@@ -35,6 +36,7 @@ val reflection_unique_addressability : Property.t
 val codebook_space_coverage : Property.t
 val metrics_consistency : Property.t
 val pattern_transitions : Property.t
+val address_book_determinism : Property.t
 val defect_map_determinism : Property.t
 val pool_map_sequential_equivalence : Property.t
 val chunked_mc_domain_invariance : Property.t
