@@ -135,6 +135,52 @@ let test_addressable_wires_ascending_with_losses () =
       (Address_space.address_of_wire tree_book w <> None)
   done
 
+(* The paper's claim: every wire gets a deterministic address, and
+   applying that address turns on exactly that wire of its contact
+   group. *)
+let check_address_selects_its_wire book =
+  let group_of a =
+    List.filter_map
+      (fun w ->
+        match Address_space.address_of_wire book w with
+        | Some b
+          when b.Address_space.cave = a.Address_space.cave
+               && b.half = a.half && b.pad = a.pad ->
+          Some b.word
+        | Some _ | None -> None)
+      (Address_space.addressable_wires book)
+  in
+  List.iter
+    (fun w ->
+      match Address_space.address_of_wire book w with
+      | None -> Alcotest.failf "wire %d missing" w
+      | Some a ->
+        let selected =
+          Addressing.addressed_nominal ~group:(group_of a) ~address:a.word
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "wire %d alone conducts" w)
+          true
+          (match selected with
+          | Some word -> Word.equal word a.Address_space.word
+          | None -> false))
+    (Address_space.addressable_wires book)
+
+let test_address_selects_its_wire () =
+  check_address_selects_its_wire book;
+  check_address_selects_its_wire tree_book
+
+let test_defect_map_agrees_with_address_book () =
+  let rng = Rng.create ~seed:47 in
+  let states = Defect_map.sample_layer rng tree_analysis ~wires:40 in
+  Array.iteri
+    (fun w state ->
+      Alcotest.(check bool)
+        (Printf.sprintf "wire %d: layout loss iff unaddressed" w)
+        (state = Defect_map.Removed_by_layout)
+        (Address_space.address_of_wire tree_book w = None))
+    states
+
 (* --- Defect maps and the crossbar memory --- *)
 
 let small_memory seed =
@@ -307,6 +353,10 @@ let suite =
       test_foreign_address_unaddressed;
     Alcotest.test_case "addressable wires ascending" `Quick
       test_addressable_wires_ascending_with_losses;
+    Alcotest.test_case "address selects its wire" `Quick
+      test_address_selects_its_wire;
+    Alcotest.test_case "defect map = address book" `Quick
+      test_defect_map_agrees_with_address_book;
     Alcotest.test_case "usable indices" `Quick
       test_usable_indices_are_working_wires;
     Alcotest.test_case "memory realized yield" `Quick test_memory_realized_yield;

@@ -117,6 +117,19 @@ let prop_memory_capacity_consistent =
       let remap = Remap.build memory in
       Remap.capacity_bits remap = Memory.usable_crosspoints memory)
 
+let prop_address_book_bijective =
+  QCheck.Test.make ~name:"address book is a partial bijection" ~count:40
+    arbitrary_config (fun c ->
+      QCheck.assume (tractable c);
+      let analysis = Cave.analyze c in
+      let book = Address_space.build analysis ~wires:(3 * c.Cave.n_wires) in
+      List.for_all
+        (fun w ->
+          match Address_space.address_of_wire book w with
+          | None -> false
+          | Some address -> Address_space.wire_of_address book address = Some w)
+        (Address_space.addressable_wires book))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_report_invariants;
@@ -124,4 +137,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sigma_norm_consistent;
     QCheck_alcotest.to_alcotest prop_yield_monotone_in_margin;
     QCheck_alcotest.to_alcotest prop_memory_capacity_consistent;
+    QCheck_alcotest.to_alcotest prop_address_book_bijective;
   ]
